@@ -152,8 +152,7 @@ def fit_decay(trajectory: Trajectory, observable: str = "abs_rho01") -> DecayFit
 
 def compare(params: QubitParameters, bath: OhmicBath, dt: float, dk_max: int,
             t_max: float, sample_every: int = 64, initial: str = "zero",
-            observable: str = "im_rho01", include_cutoff: bool = True,
-            backend: str | None = None) -> ComparisonReport:
+            observable: str = "im_rho01", include_cutoff: bool = True) -> ComparisonReport:
     """Run both estimators at one parameter point and report their ratio.
 
     The ITM side evolves ``initial`` (default the oscillating "zero" state,
@@ -166,7 +165,7 @@ def compare(params: QubitParameters, bath: OhmicBath, dt: float, dk_max: int,
     propagator = short_time_propagator(params, dt)
     transfer = build_transfer_tensor(propagator, table)
     trajectory = propagate(initial_state(initial), transfer, table, n_steps,
-                           sample_every=sample_every, backend=backend)
+                           sample_every=sample_every)
     fit = fit_decay(trajectory, observable)
     echo = {
         "e_j_ueV": params.e_j, "e_c_ueV": params.e_c, "n_g": params.n_g,

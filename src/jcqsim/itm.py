@@ -17,13 +17,23 @@ iteration with dk_max = N reproduces the exact path sum identically.
 
 The first time point uses endpoint-class coefficients as well; the ramp-up
 steps that involve it are taken outside the hot kernel.
+
+After the ramp every step is the same linear map A on the folded window
+(the M newest points, 4^M entries): ``TransferTensor.dense().T``. The
+steady phase therefore jumps from one sample step to the next, L steps at
+a time, with precomputed A^L and readout R A^(L-1). Before each jump, the
+certificate max_{k<L} |A^k| bounds every window entry the skipped steps
+would have produced; only if that bound stays below ``guard`` is the block
+jumped, otherwise it is stepped and the guard is checked at each step. A
+cost model in the window size and block length steps the blocks where
+stepping is cheaper. See ``_kernels.evolve_window``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import brute_force_sum, evolve_window
+from ._kernels import brute_force_sum, evolve_window, window_step
 from .errors import CapacityError, ConfigError, InstabilityError
 from .influence import (ENDPOINT, INTERIOR, EtaTable, pair_factor_table,
                         self_factor_table)
@@ -45,15 +55,12 @@ class TransferTensor:
     step: np.ndarray
 
     def dense(self) -> np.ndarray:
-        """The (4^M, 4^M) window-to-window matrix; zero off the overlap."""
-        q = 4 ** self.dk_max
-        dense = np.zeros((q, q), dtype=complex)
-        tail_mod = 4 ** (self.dk_max - 1)
-        for row in range(q):
-            base = (row % tail_mod) * 4
-            for y in range(4):
-                dense[row, base + y] = self.step[row, y]
-        return dense
+        """The (4^M, 4^M) window-to-window matrix; zero off the overlap.
+
+        Built by pushing the identity through one ``window_step``: its
+        transpose is the map that the steady propagation iterates.
+        """
+        return window_step(np.eye(4 ** self.dk_max, dtype=complex), self.step).T
 
 
 @dataclass(frozen=True)
@@ -167,8 +174,8 @@ def _generic_readout(state, n, p_lo, table):
 
 
 def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
-              n_steps: int, sample_every: int = 1, guard: float = DEFAULT_GUARD,
-              backend: str | None = None) -> Trajectory:
+              n_steps: int, sample_every: int = 1,
+              guard: float = DEFAULT_GUARD) -> Trajectory:
     """Evolve rho0 for n_steps of table.dt, sampling every ``sample_every`` steps.
 
     The t = 0 sample is the initial state itself; the final step is always
@@ -205,7 +212,7 @@ def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
         correction = _steady_correction_tensor(table)
         samples, bad_step = evolve_window(state.ravel(), transfer.step.ravel(),
                                           correction.ravel(), ramp_end, n_steps,
-                                          remaining, guard=guard, backend=backend)
+                                          remaining, guard=guard)
         if bad_step >= 0:
             raise InstabilityError(f"window tensor exceeded guard {guard} at step {bad_step}",
                                    step=int(bad_step))

@@ -146,3 +146,32 @@ def monolithic_influence(path_plus, path_minus, table) -> complex:
             phase += (path_plus[e + dk] - path_minus[e + dk]) * (
                 eta * path_plus[e] - np.conj(eta) * path_minus[e])
     return np.exp(-g2 / HBAR * phase)
+
+
+def per_step_evolve_window(e_flat, g_flat, c_flat, n_start, n_steps, sample_steps,
+                           guard=4.0, peak=None):
+    """Steady window iteration one step at a time, as a drop-in for evolve_window.
+
+    Each step folds out the oldest point, multiplies in the step tensor,
+    checks every entry against ``guard`` and reads out at sample steps. If
+    ``peak`` is a list, the largest entry magnitude seen is appended to it.
+    """
+    q = np.size(g_flat) // 4
+    g2d = np.reshape(g_flat, (q, 4))
+    c2d = np.reshape(c_flat, (q, 4))
+    state = np.array(e_flat, dtype=complex)
+    samples = np.zeros((len(sample_steps), 4), dtype=complex)
+    largest, si, bad_step = 0.0, 0, -1
+    for n in range(n_start + 1, n_steps + 1):
+        e2d = state.reshape(4, q).sum(axis=0)[:, None] * g2d
+        largest = max(largest, np.abs(e2d).max())
+        if np.abs(e2d).max() > guard:
+            bad_step = n
+            break
+        state = e2d.reshape(-1)
+        if si < len(sample_steps) and n == sample_steps[si]:
+            samples[si] = (e2d * c2d).sum(axis=0)
+            si += 1
+    if peak is not None:
+        peak.append(largest)
+    return samples, bad_step
