@@ -8,8 +8,8 @@ baseline and decay-time extraction.
 from ._kernels import NUMBA_ENABLED, backend_name
 from .analysis import (ComparisonReport, DecayFit, bloch_decoherence_time,
                        compare, fit_decay)
-from .bath import (OhmicBath, ResponseSample, memory_time, power_spectrum,
-                   response_function, response_samples, spectral_density)
+from .bath import (OhmicBath, memory_time, power_spectrum, response_function,
+                   spectral_density)
 from .errors import (CapacityError, ConfigError, InstabilityError, NoDecayError,
                      NumericalError, SaturationError, SimulationError)
 from .influence import (COUPLING_WEIGHT, EtaTable, assemble_influence,

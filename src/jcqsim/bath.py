@@ -11,17 +11,17 @@ response function
     gamma(t) = (1/pi) Int_0^inf dw J(w) [coth(beta hbar w / 2) cos(wt)
                                          - i sin(wt)],
 
-whose width sets the bath memory time. gamma is evaluated by adaptive
-quadrature; the oscillatory cos/sin factors are handled with dedicated
-oscillatory weights so the accuracy target holds out to t of order 100 ps.
+whose width sets the bath memory time. Every frequency integral over the
+bath, gamma(t) here and the influence coefficients in ``influence``, goes
+through ``spectral_integrals``: Gauss-Legendre panels on [0, 50 w_c],
+geometric near w = 0 for the thermal feature of coth and one oscillation
+period wide beyond, with a lower-order rule on the same panels as the
+error estimate.
 """
 
-import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import NumericalError, SaturationError
 from .units import HBAR, thermal_beta
@@ -29,10 +29,17 @@ from .units import HBAR, thermal_beta
 # Integration window: the exponential cutoff makes the integrand beyond
 # 50 w_c smaller than 1e-20 of the total.
 _CUTOFF_MULTIPLE = 50.0
-# The thermal feature coth(beta hbar w / 2) - 1 lives below w ~ 2/(beta hbar);
-# it is narrow on the scale of the full window and must be split off so the
-# adaptive scheme cannot step over it.
-_THERMAL_SPLIT = 0.2
+# Gauss-Legendre orders per panel: the value, and the lower-order check
+# whose difference to it is the error estimate.
+_GL_NODES = 16
+_GL_CHECK_NODES = 9
+# response_function integrates this many ascending times on the grid of
+# the largest.
+_TIME_CHUNK = 8
+# Panels per pass, which bounds the working memory at any t; and the most
+# panels one grid may have (t of about 1e5 ps), which bounds its edges.
+_PANEL_BLOCK = 4096
+_MAX_PANELS = 2**22
 
 
 @dataclass(frozen=True)
@@ -64,15 +71,6 @@ class OhmicBath:
         return thermal_beta(self.temperature)
 
 
-@dataclass(frozen=True)
-class ResponseSample:
-    """One point of the bath response function gamma(t)."""
-
-    t: float
-    re_gamma: float
-    im_gamma: float
-
-
 def spectral_density(bath: OhmicBath, omega: float) -> float:
     """J(omega) in ueV; zero at omega = 0 by the linear prefactor."""
     if omega < 0.0:
@@ -100,74 +98,103 @@ def _x_coth_x(x):
     return np.where(small, 1.0 + x * x / 3.0, safe / np.tanh(safe))
 
 
-def _re_integrand(omega, bath, b):
-    # (1/pi) J(w) coth(b w) with the w -> 0 limit folded in:
-    # = (2 hbar alpha / b) exp(-w/w_c) * (b w) coth(b w)
-    return (2.0 * HBAR * bath.alpha / b) * np.exp(-omega / bath.omega_c) * _x_coth_x(b * omega)
+def _panel_nodes(edges: np.ndarray, n: int):
+    """Gauss-Legendre nodes and weights of order n, shape (panels, n)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = edges[:-1, None] + half
+    return mid + half * x, half * w
 
 
-def _im_integrand(omega, bath):
-    # -(1/pi) J(w); enters under the sin(wt) oscillatory weight
-    return -2.0 * HBAR * bath.alpha * omega * np.exp(-omega / bath.omega_c)
-
-
-@lru_cache(maxsize=32)
-def _re_gamma_zero(bath: OhmicBath) -> tuple[float, float]:
-    """Re gamma(0) and its quadrature error estimate."""
-    b = 0.5 * bath.beta * HBAR
+def _omega_grid(bath: OhmicBath, t_scale: float) -> np.ndarray:
+    """Panel edges on [0, 50 w_c]: geometric near zero, one period wide beyond."""
     w_max = _CUTOFF_MULTIPLE * bath.omega_c
-    pts = [p for p in (0.5 / b, 4.0 / b, 32.0 / b, bath.omega_c, 10.0 * bath.omega_c) if p < w_max]
-    val, err = quad(_re_integrand, 0.0, w_max, args=(bath, b),
-                    points=pts, limit=400, epsabs=1e-300, epsrel=1e-12)
-    return val, err
+    width = min(0.5 * bath.omega_c, 2.0 * np.pi / max(t_scale, 1e-12))
+    # the thermal feature of coth(b w), b = beta hbar / 2, lives below ~1/b:
+    # panels double in width from 0.01/b until they are as wide as the
+    # uniform ones
+    fine = []
+    e = 0.01 / (0.5 * bath.beta * HBAR)
+    while e < width:
+        fine.append(e)
+        e *= 2.0
+    start = fine[-1] if fine else 0.0
+    n_uniform = int(np.ceil((w_max - start) / width))
+    if n_uniform > _MAX_PANELS:
+        raise NumericalError(f"panel grid for t = {t_scale} ps needs {n_uniform} panels, "
+                             f"above the limit of {_MAX_PANELS}")
+    return np.unique(np.concatenate(
+        [[0.0], fine, np.linspace(start, w_max, n_uniform + 1)[1:]]))
 
 
-def response_function(bath: OhmicBath, t: float, rtol: float = 1e-8) -> complex:
-    """Bath response function gamma(t) in ueV/ps, for t >= 0.
+def spectral_integrals(bath: OhmicBath, t_scale: float, windows):
+    """Integrate window rows against the Ohmic weights on one panel grid.
 
-    The accuracy target is ``rtol`` relative to the t = 0 real value; a
-    NumericalError carrying the achieved residual is raised if the
-    quadrature cannot certify it.
+    ``windows(omega)`` returns ``(W_re, W_im)``, each of shape
+    ``(rows,) + omega.shape``. Row r gives
+
+        (1/pi) Int_0^inf dw J(w) [coth(b w) W_re(w) - i W_im(w)],   b = beta hbar / 2,
+
+    on panels one oscillation period wide at ``t_scale``, the largest time
+    the windows oscillate with. Returns the values and, per row, the sum
+    over panels of |Re| + |Im| of the difference to a lower-order rule.
     """
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    scale, err0 = _re_gamma_zero(bath)
-    if bath.alpha == 0.0:
-        return 0.0 + 0.0j
-    budget = rtol * abs(scale)
-    if t == 0.0:
-        if err0 > budget:
-            raise NumericalError("response quadrature residual above target at t=0",
-                                 residual=err0 / abs(scale))
-        return complex(scale, 0.0)
-
     b = 0.5 * bath.beta * HBAR
-    w_max = _CUTOFF_MULTIPLE * bath.omega_c
-    split = min(_THERMAL_SPLIT, w_max / 2.0)
-
-    # Re part: plain adaptive panel over the narrow thermal feature, then an
-    # oscillatory-weight (QAWO) panel over the remaining range. The residual
-    # gate below supersedes scipy's roundoff warning.
-    pts = [p for p in (0.5 / b, 4.0 / b, 32.0 / b) if p < split]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        re1, er1 = quad(lambda w: _re_integrand(w, bath, b) * np.cos(w * t), 0.0, split,
-                        points=pts, limit=200, epsabs=0.25 * budget, epsrel=1e-12)
-        re2, er2 = quad(_re_integrand, split, w_max, args=(bath, b), weight="cos", wvar=t,
-                        limit=400, maxp1=80, limlst=400, epsabs=0.25 * budget, epsrel=1e-12)
-        im, er3 = quad(_im_integrand, 0.0, w_max, args=(bath,), weight="sin", wvar=t,
-                       limit=400, maxp1=80, limlst=400, epsabs=0.25 * budget, epsrel=1e-12)
-    residual = er1 + er2 + er3
-    if residual > budget:
-        raise NumericalError(f"response quadrature residual {residual:.3e} above "
-                             f"target {budget:.3e} at t={t}",
-                             residual=residual / abs(scale))
-    return complex(re1 + re2, im)
+    edges = _omega_grid(bath, t_scale)
+    value, residual = 0.0, 0.0
+    for lo in range(0, edges.size - 1, _PANEL_BLOCK):
+        per_panel = []
+        for n in (_GL_NODES, _GL_CHECK_NODES):
+            omega, weights = _panel_nodes(edges[lo:lo + _PANEL_BLOCK + 1], n)
+            # (1/pi) J(w) coth(b w) = (2 hbar alpha / b) e^{-w/w_c} (b w) coth(b w)
+            decay = weights * (2.0 * HBAR * bath.alpha) * np.exp(-omega / bath.omega_c)
+            s_re = decay * _x_coth_x(b * omega) / b
+            s_im = decay * omega
+            w_re, w_im = windows(omega)
+            per_panel.append(((np.asarray(w_re) * s_re).sum(axis=-1),
+                              (np.asarray(w_im) * s_im).sum(axis=-1)))
+        (re, im), (re_low, im_low) = per_panel
+        value = value + re.sum(axis=-1) - 1j * im.sum(axis=-1)
+        residual = residual + np.abs(re - re_low).sum(axis=-1) + np.abs(im - im_low).sum(axis=-1)
+    return value, residual
 
 
-def response_samples(bath: OhmicBath, times) -> np.ndarray:
-    """gamma(t) on an array of times; complex ndarray."""
-    return np.array([response_function(bath, float(t)) for t in np.asarray(times, dtype=float)])
+def _gamma_chunk(bath: OhmicBath, times: np.ndarray):
+    """gamma and its residual at ascending ``times``, on the grid of the last."""
+    def windows(omega):
+        phase = np.multiply.outer(times, omega)
+        return np.cos(phase), np.sin(phase)
+
+    return spectral_integrals(bath, times[-1], windows)
+
+
+def response_function(bath: OhmicBath, t, rtol: float = 1e-8) -> complex | np.ndarray:
+    """Bath response function gamma(t) in ueV/ps, for finite t >= 0.
+
+    ``t`` is a time or an array of times; the result is a complex or a
+    complex array of the same shape. The accuracy target is ``rtol``
+    relative to Re gamma(0); a NumericalError carrying the largest residual
+    is raised if the quadrature cannot certify it.
+    """
+    times = np.asarray(t, dtype=float)
+    flat = times.ravel()
+    bad = ~(np.isfinite(flat) & (flat >= 0.0))
+    if bad.any():
+        raise ValueError(f"t must be finite and >= 0, got {flat[bad][0]}")
+    gamma = np.empty(flat.size, dtype=complex)
+    residual = np.empty(flat.size)
+    order = np.argsort(flat, kind="stable")
+    for i in range(0, flat.size, _TIME_CHUNK):
+        idx = order[i:i + _TIME_CHUNK]
+        gamma[idx], residual[idx] = _gamma_chunk(bath, flat[idx])
+
+    scale = _gamma_chunk(bath, np.zeros(1))[0][0].real
+    worst = residual.max(initial=0.0)
+    if worst > rtol * scale:
+        raise NumericalError(f"response quadrature residual {worst:.3e} above target "
+                             f"{rtol * scale:.3e} at t={flat[np.argmax(residual)]}",
+                             residual=worst / scale)
+    return complex(gamma[0]) if times.ndim == 0 else gamma.reshape(times.shape)
 
 
 def memory_time(bath: OhmicBath, threshold: float, t_max: float = 100.0,
@@ -181,14 +208,18 @@ def memory_time(bath: OhmicBath, threshold: float, t_max: float = 100.0,
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    if not (np.isfinite(t_max) and t_max > 0.0):
+        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+    if not 0.0 < t_step <= t_max:
+        raise ValueError(f"t_step must be in (0, t_max], got {t_step}")
     times = np.arange(0.0, t_max + 0.5 * t_step, t_step)
-    gamma = response_samples(bath, times)
-    re0 = abs(gamma[0].real)
     # |Im gamma| peaks within ~1/w_c of the origin, below the grid resolution;
     # normalize by the true peak, not the coarse-grid maximum
     peak_times = np.linspace(0.0, min(3.0 / bath.omega_c, t_max), 151)
-    im_max = max(np.abs(gamma.imag).max(),
-                 np.abs(response_samples(bath, peak_times).imag).max())
+    gamma = response_function(bath, np.concatenate([times, peak_times]))
+    im_max = np.abs(gamma.imag).max()
+    gamma = gamma[:times.size]
+    re0 = abs(gamma[0].real)
     if re0 == 0.0:  # alpha = 0: no memory at all
         return times[1]
     re_ratio = np.abs(gamma.real) / re0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .analysis import FIT_OBSERVABLES, bloch_decoherence_time, compare
-from .bath import OhmicBath, ResponseSample, response_function
+from .bath import OhmicBath, response_function
 from .errors import ConfigError, NumericalError, SimulationError
 from .influence import dump_eta_csv, eta_coefficients
 from .itm import brute_force_path_sum, build_transfer_tensor, propagate
@@ -147,17 +147,16 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def cmd_response(config: RunConfig, t_max: float, n_points: int, out) -> int:
     if n_points < 2:
         raise ConfigError(f"n_points must be >= 2, got {n_points}")
+    if not np.isfinite(t_max):
+        raise ConfigError(f"response t_max must be finite, got {t_max}")
     if not config.output:
         raise ConfigError("response requires an output path")
     echo_config(config, out)
-    bath = config.bath
-    samples = []
-    for t in np.linspace(0.0, t_max, n_points + 1):
-        gamma = response_function(bath, float(t))
-        samples.append(ResponseSample(t=float(t), re_gamma=gamma.real, im_gamma=gamma.imag))
-    rows = [(s.t, s.re_gamma, s.im_gamma) for s in samples]
+    times = np.linspace(0.0, t_max, n_points + 1)
+    gamma = response_function(config.bath, times)
+    rows = zip(times, gamma.real, gamma.imag)
     _write_csv(config.output, ["t_ps", "re_gamma", "im_gamma"], rows)
-    out.write(f"wrote {len(rows)} rows to {config.output}\n")
+    out.write(f"wrote {times.size} rows to {config.output}\n")
     return EXIT_OK
 
 

@@ -10,9 +10,11 @@ integrals of the bath response function over the cells,
 
 with the self term integrated over the ordered triangle t'' < t'. They are
 evaluated in the frequency domain: folding the cell geometry into the
-omega-integrand gives window polynomials that are regular at omega -> 0,
-and the integral is done on graded Gauss-Legendre panels (fine near zero
-for the thermal feature, oscillation-limited width elsewhere).
+omega-integrand gives windows that are regular at omega -> 0, and
+``bath.spectral_integrals`` integrates them against the Ohmic weights. The
+two self terms share one panel grid; the three pair classes at separation
+dk share another, one oscillation period wide at (dk + 1) dt. The engine's
+lower-order error estimate gates the table at 1e-8 of max|eta|.
 
 A pair coefficient carries one of three classes depending on which cells it
 connects: interior-interior, endpoint-interior or endpoint-endpoint.
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import OhmicBath
+from .bath import OhmicBath, spectral_integrals
+from .errors import NumericalError
 from .units import HBAR
 
 # Bath couples to (sigma_z / 2); exponents scale with the square.
@@ -41,7 +44,10 @@ ENDPOINT = "endpoint"
 SPIN_PLUS = np.array([1.0, 1.0, -1.0, -1.0])
 SPIN_MINUS = np.array([1.0, -1.0, 1.0, -1.0])
 
-_GL_NODES = 16
+_PAIR_CLASSES = ("ii", "ei", "ee")
+
+# Largest accepted quadrature residual, relative to max|eta|.
+_ETA_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,33 +83,6 @@ class EtaTable:
         raise ValueError(f"unknown pair class {kind!r}")
 
 
-def _panel_nodes(edges: np.ndarray, n: int = _GL_NODES):
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def _omega_grid(bath: OhmicBath, t_scale: float):
-    """Panel grid on [0, 50 w_c]: geometric near zero, oscillation-limited beyond."""
-    w_max = 50.0 * bath.omega_c
-    b = 0.5 * bath.beta * HBAR
-    # resolve the thermal feature below ~ 1/b
-    fine = []
-    e = 0.01 / b
-    while e < min(2.0 / max(t_scale, 1e-12), w_max, 4.0):
-        fine.append(e)
-        e *= 2.0
-    # at most 1/6 of the fastest oscillation period per panel
-    width = min(0.5 * bath.omega_c, (2.0 * np.pi / max(t_scale, 1e-12)) / 6.0)
-    start = fine[-1] if fine else 0.0
-    n_uniform = int(np.ceil((w_max - start) / width))
-    edges = np.concatenate([[0.0], fine, np.linspace(start, w_max, n_uniform + 1)[1:]])
-    return _panel_nodes(np.unique(edges))
-
-
 def _sinc(x):
     return np.sinc(x / np.pi)
 
@@ -136,50 +115,40 @@ def _pair_windows(omega, dt, dk, kind):
     return amp * np.cos(omega * phase), amp * np.sin(omega * phase)
 
 
-def _eta_from_windows(bath: OhmicBath, w_re_fn, w_im_fn, t_scale: float) -> complex:
-    from .bath import _x_coth_x  # stable x*coth(x)
-
-    nodes, weights = _omega_grid(bath, t_scale)
-    b = 0.5 * bath.beta * HBAR
-    decay = np.exp(-nodes / bath.omega_c)
-    w_re, w_im = w_re_fn(nodes), w_im_fn(nodes)
-    # (1/pi) J(w)/w^2 * coth(b w) * [w^2 W_re] = 2 hbar alpha e^{-w/w_c} xcothx(bw)/b * W_re
-    re = np.sum(weights * (2.0 * HBAR * bath.alpha / b) * decay * _x_coth_x(b * nodes) * w_re)
-    im = np.sum(weights * 2.0 * HBAR * bath.alpha * nodes * decay * w_im)
-    return complex(re, -im)
-
-
 def eta_coefficients(bath: OhmicBath, dt: float, n_steps: int, dk_max: int) -> EtaTable:
     """Build the full coefficient table for a grid of ``n_steps`` steps.
 
     Interior pair entries depend only on the separation dk, so one entry per
-    dk and class covers the whole grid.
+    dk and class covers the whole grid. Raises NumericalError if a
+    quadrature residual exceeds ``_ETA_RTOL`` of max|eta|.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     if not 1 <= dk_max <= n_steps:
         raise ValueError(f"dk_max must satisfy 1 <= dk_max <= n_steps, got {dk_max}")
 
-    self_int = _eta_from_windows(
-        bath, lambda w: _self_windows(w, dt)[0], lambda w: _self_windows(w, dt)[1], dt)
-    self_end = _eta_from_windows(
-        bath, lambda w: _self_windows(w, 0.5 * dt)[0], lambda w: _self_windows(w, 0.5 * dt)[1],
-        0.5 * dt)
-
-    pair = {kind: np.empty(dk_max, dtype=complex) for kind in ("ii", "ei", "ee")}
-    for dk in range(1, dk_max + 1):
-        for kind in ("ii", "ei", "ee"):
-            pair[kind][dk - 1] = _eta_from_windows(
-                bath,
-                lambda w, d=dk, k=kind: _pair_windows(w, dt, d, k)[0],
-                lambda w, d=dk, k=kind: _pair_windows(w, dt, d, k)[1],
-                (dk + 1) * dt)
+    # one panel grid carries both self terms, one per dk the three pair classes
+    integrals = [spectral_integrals(
+        bath, dt, lambda w: zip(_self_windows(w, dt), _self_windows(w, 0.5 * dt)))]
+    integrals += [spectral_integrals(
+        bath, (dk + 1) * dt,
+        lambda w, d=dk: zip(*(_pair_windows(w, dt, d, k) for k in _PAIR_CLASSES)))
+        for dk in range(1, dk_max + 1)]
+    etas, residuals = zip(*integrals)
+    scale = max(np.abs(eta).max() for eta in etas)
+    residual = max(res.max() for res in residuals)
+    if residual > _ETA_RTOL * scale:
+        raise NumericalError(f"eta quadrature residual {residual:.3e} above "
+                             f"target {_ETA_RTOL * scale:.3e}",
+                             residual=residual / scale)
+    self_int, self_end = etas[0]
+    pair = np.array(etas[1:])
 
     return EtaTable(dt=dt, n_steps=n_steps, dk_max=dk_max,
-                    eta_self_interior=self_int, eta_self_end=self_end,
-                    eta_pair_interior=pair["ii"],
-                    eta_pair_end_interior=pair["ei"],
-                    eta_pair_end_end=pair["ee"])
+                    eta_self_interior=complex(self_int), eta_self_end=complex(self_end),
+                    eta_pair_interior=pair[:, 0],
+                    eta_pair_end_interior=pair[:, 1],
+                    eta_pair_end_end=pair[:, 2])
 
 
 def dump_eta_csv(table: EtaTable, path: str) -> None:
@@ -194,7 +163,7 @@ def dump_eta_csv(table: EtaTable, path: str) -> None:
         fh.write(f"0,{ENDPOINT},{fmt(table.eta_self_end.real)},"
                  f"{fmt(table.eta_self_end.imag)}\n")
         for dk in range(1, table.dk_max + 1):
-            for kind in ("ii", "ei", "ee"):
+            for kind in _PAIR_CLASSES:
                 eta = table.eta_pair(dk, kind)
                 fh.write(f"{dk},{kind},{fmt(eta.real)},{fmt(eta.imag)}\n")
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from jcqsim import (HBAR, NumericalError, OhmicBath, SaturationError, memory_time,
-                    power_spectrum, response_function, response_samples,
-                    spectral_density, thermal_beta)
+                    power_spectrum, response_function, spectral_density,
+                    thermal_beta)
 from oracles import analytic_gamma, trapezoid_gamma
 
 
@@ -85,11 +85,14 @@ class TestResponseFunction:
             assert abs(val - ref) / abs(ref) < 1e-6
 
     def test_analytic_oracle(self, paper_bath):
-        scale = abs(response_function(paper_bath, 0.0).real)
-        for t in (0.0, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0):
-            ref = analytic_gamma(paper_bath, t)
-            val = response_function(paper_bath, t)
-            assert abs(val - ref) <= 1e-8 * scale
+        # the fine panels near w = 0 scale with beta, so cover 10 to 300 mK;
+        # the grid at 1000 ps is integrated in several panel blocks
+        for bath in (OhmicBath(5e-6, 5.0, 10.0), paper_bath, OhmicBath(5e-6, 5.0, 300.0)):
+            scale = abs(response_function(bath, 0.0).real)
+            for t in (0.0, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 1000.0):
+                ref = analytic_gamma(bath, t)
+                val = response_function(bath, t)
+                assert abs(val - ref) <= 1e-12 * scale
 
     def test_memory_decay_ratio(self, paper_bath):
         re0 = response_function(paper_bath, 0.0).real
@@ -111,15 +114,23 @@ class TestResponseFunction:
         with pytest.raises(ValueError):
             response_function(paper_bath, -1.0)
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, [0.0, 1.0, np.nan]])
+    def test_nonfinite_time_rejected(self, paper_bath, t):
+        with pytest.raises(ValueError):
+            response_function(paper_bath, t)
+
     def test_zero_coupling(self):
         free = OhmicBath(alpha=0.0, omega_c=5.0, temperature=30.0)
         assert response_function(free, 3.0) == 0.0
 
-    def test_samples_helper(self, paper_bath):
-        times = [0.0, 1.0, 2.0]
-        gammas = response_samples(paper_bath, times)
-        assert gammas.shape == (3,)
-        assert gammas[0] == response_function(paper_bath, 0.0)
+    def test_vector_matches_scalar(self, paper_bath):
+        # unsorted, repeated and spanning several chunks; shape is kept
+        times = np.array([[50.0, 0.0, 0.3, 7.0, 0.3], [100.0, 1.0, 2.0, 0.05, 20.0]])
+        gammas = response_function(paper_bath, times)
+        assert gammas.shape == times.shape and gammas.dtype == complex
+        scale = response_function(paper_bath, 0.0).real
+        for t, gamma in zip(times.ravel(), gammas.ravel()):
+            assert abs(gamma - response_function(paper_bath, t)) <= 1e-13 * scale
 
 
 class TestMemoryTime:
@@ -142,11 +153,27 @@ class TestMemoryTime:
         with pytest.raises(SaturationError):
             memory_time(paper_bath, 1e-9, t_max=10.0)
 
-    def test_threshold_domain(self, paper_bath):
+    @pytest.mark.parametrize("threshold, grid", [
+        pytest.param(1.5, {}, id="threshold=1.5"),
+        pytest.param(0.0, {}, id="threshold=0"),
+        pytest.param(0.01, {"t_step": 0.0}, id="t_step=0"),
+        pytest.param(0.01, {"t_step": -0.1}, id="t_step<0"),
+        pytest.param(0.01, {"t_step": 200.0}, id="t_step>t_max"),
+        pytest.param(0.01, {"t_max": -1.0}, id="t_max<0"),
+        pytest.param(0.01, {"t_max": 0.0}, id="t_max=0"),
+        pytest.param(0.01, {"t_max": np.nan}, id="t_max=nan"),
+        pytest.param(0.01, {"t_max": np.inf}, id="t_max=inf"),
+        pytest.param(0.01, {"t_step": np.nan}, id="t_step=nan"),
+    ])
+    def test_threshold_domain(self, paper_bath, threshold, grid):
         with pytest.raises(ValueError):
-            memory_time(paper_bath, 1.5)
-        with pytest.raises(ValueError):
-            memory_time(paper_bath, 0.0)
+            memory_time(paper_bath, threshold, **grid)
+
+
+def test_time_beyond_panel_limit(paper_bath):
+    # raised before the grid is allocated
+    with pytest.raises(NumericalError):
+        response_function(paper_bath, 1e7)
 
 
 def test_quadrature_failure_reports_residual(paper_bath):

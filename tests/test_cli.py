@@ -32,6 +32,15 @@ class TestResponseCommand:
         at10 = rows[np.argmin(np.abs(rows[:, 0] - 10.0)), 1]
         assert abs(at10) / re0 < 0.02
 
+    @pytest.mark.parametrize("t_max", ["nan", "inf"])
+    def test_nonfinite_t_max_is_config_error(self, tmp_path, capsys, t_max):
+        out_file = tmp_path / "gamma.csv"
+        code, _, err = run_cli(capsys, "response", "--output", str(out_file),
+                               "--response-t-max-ps", t_max)
+        assert code == EXIT_CONFIG
+        assert "finite" in err
+        assert not out_file.exists()
+
     def test_missing_output_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "response")
         assert code == EXIT_CONFIG

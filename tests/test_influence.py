@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from jcqsim import (HBAR, OhmicBath, assemble_influence, eta_coefficients,
-                    influence_factor_I0, influence_factor_Idk)
+from jcqsim import (HBAR, NumericalError, OhmicBath, assemble_influence,
+                    eta_coefficients, influence_factor_I0, influence_factor_Idk)
 from jcqsim.influence import COUPLING_WEIGHT, pair_factor_table, self_factor_table
 from oracles import (eta_pair_time_domain, eta_pair_trapezoid_2d,
                      eta_self_time_domain, monolithic_influence)
@@ -34,6 +34,16 @@ def test_validation(paper_bath):
         eta_coefficients(paper_bath, DT, 4, 5)
     with pytest.raises(ValueError):
         eta_coefficients(paper_bath, DT, 4, 0)
+
+
+def test_residual_gate(paper_bath, monkeypatch):
+    import jcqsim.influence as influence
+
+    eta_coefficients(paper_bath, DT, 16, 16)  # within budget at the paper point
+    monkeypatch.setattr(influence, "_ETA_RTOL", 0.0)
+    with pytest.raises(NumericalError) as info:
+        eta_coefficients(paper_bath, DT, 4, 4)
+    assert info.value.residual > 0.0
 
 
 def test_self_terms_damp(table):
