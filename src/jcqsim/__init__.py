@@ -5,17 +5,15 @@ for a two-level system coupled to an Ohmic bath, plus the golden-rule Bloch
 baseline and decay-time extraction.
 """
 
-from ._kernels import NUMBA_ENABLED, backend_name
+from ._kernels import backend_name
 from .analysis import (ComparisonReport, DecayFit, bloch_decoherence_time,
                        compare, fit_decay)
 from .bath import (OhmicBath, memory_time, power_spectrum, response_function,
                    spectral_density)
 from .errors import (CapacityError, ConfigError, InstabilityError, NoDecayError,
                      NumericalError, SaturationError, SimulationError)
-from .influence import (COUPLING_WEIGHT, EtaTable, assemble_influence,
-                        dump_eta_csv, eta_coefficients, influence_factor_I0,
-                        influence_factor_Idk, pair_factor_table,
-                        self_factor_table)
+from .influence import (COUPLING_WEIGHT, EtaTable, dump_eta_csv, eta_coefficients,
+                        pair_factor_table, self_factor_table)
 from .itm import (TransferTensor, Trajectory, brute_force_path_sum,
                   build_transfer_tensor, propagate)
 from .qubit import (PropagatorK, QubitParameters, hamiltonian, initial_state,

@@ -1,4 +1,4 @@
-"""Hot numeric kernels: steady window propagation and the exact path sum.
+"""Numeric kernels: steady window propagation and the exact path sum.
 
 State layout: the window tensor over M+1 consecutive time points is stored
 flat, row-major, oldest point first. Viewed as (4^M, 4) the row indexes the
@@ -27,25 +27,18 @@ the block length L and the number of blocks of that length. It steps every
 block at M >= 5, blocks of up to 3 steps at M = 4, single steps at M = 3,
 and a first or last block whose length occurs only once.
 
-The exact path sum is numba-jitted when numba is importable, with a
-vectorized numpy fallback. Set ``JCQSIM_DISABLE_NUMBA=1`` to force numpy.
+The exact path sum, ``path_sum``, enumerates all 4^(N+1) paths in numpy,
+vectorized over chunks of 2^18 paths: each path's weight is its initial
+density-matrix entry times the bare propagator chain times every self and
+pair influence factor, with the pair's coefficient class from
+``influence.pair_class``.
 """
 
-import os
 from collections import Counter
 
 import numpy as np
 
-_DISABLE = os.environ.get("JCQSIM_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by JCQSIM_DISABLE_NUMBA")
-    from numba import njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
+from .influence import pair_class
 
 # A certified block's bound must sit this far below the guard, relative,
 # to absorb the rounding difference between the jump and the steps.
@@ -67,7 +60,7 @@ JUMP_MAX_WINDOW = 4 ** 4
 
 
 def backend_name() -> str:
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"
 
 
 def window_step(f, g2d):
@@ -170,7 +163,12 @@ def _step_block(f, g2d, c2d, start, end, guard):
     return f, (e2d * c2d).sum(axis=0), -1
 
 
-def _brute_np(rho0v, k_tensor, self_end, self_int, f_ii, f_ei, f_ee, n, dk_max):
+def path_sum(rho0v, k_tensor, self_end, self_int, pair_tables, n, dk_max):
+    """Sum over all 4^(n+1) forward/backward paths; returns the final 4-vector.
+
+    ``pair_tables`` maps each pair class to its (4, 4) factor tables stacked
+    over dk = 1 .. dk_max, with dk_max <= n.
+    """
     total = 4 ** (n + 1)
     out = np.zeros(4, dtype=np.complex128)
     chunk = 1 << 18
@@ -187,75 +185,10 @@ def _brute_np(rho0v, k_tensor, self_end, self_int, f_ii, f_ei, f_ee, n, dk_max):
         w *= self_end[digits[0]] * self_end[digits[n]]
         for k in range(1, n):
             w *= self_int[digits[k]]
-        for dk in range(1, min(n, dk_max) + 1):
+        for dk in range(1, dk_max + 1):
             for e in range(0, n - dk + 1):
                 late = e + dk
-                if e == 0 and late == n:
-                    fac = f_ee
-                elif e == 0 or late == n:
-                    fac = f_ei
-                else:
-                    fac = f_ii
-                w *= fac[dk - 1, digits[e], digits[late]]
+                w *= pair_tables[pair_class(e, late, n)][dk - 1, digits[e], digits[late]]
         out += (np.bincount(digits[n], weights=w.real, minlength=4)
                 + 1j * np.bincount(digits[n], weights=w.imag, minlength=4))
     return out
-
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _brute_nb(rho0v, k_tensor, self_end, self_int, f_ii, f_ei, f_ee, n, dk_max):
-        out = np.zeros(4, dtype=np.complex128)
-        digits = np.empty(n + 1, dtype=np.int64)
-        total = 4 ** (n + 1)
-        span = min(n, dk_max)
-        for idx in range(total):
-            rem = idx
-            for k in range(n + 1):
-                digits[k] = rem & 3
-                rem >>= 2
-            w = rho0v[digits[0]]
-            for k in range(n):
-                w *= k_tensor[digits[k], digits[k + 1]]
-            w *= self_end[digits[0]] * self_end[digits[n]]
-            for k in range(1, n):
-                w *= self_int[digits[k]]
-            for dk in range(1, span + 1):
-                for e in range(0, n - dk + 1):
-                    late = e + dk
-                    if e == 0 and late == n:
-                        w *= f_ee[dk - 1, digits[e], digits[late]]
-                    elif e == 0 or late == n:
-                        w *= f_ei[dk - 1, digits[e], digits[late]]
-                    else:
-                        w *= f_ii[dk - 1, digits[e], digits[late]]
-            out[digits[n]] += w
-        return out
-
-
-def _resolve_backend(backend: str | None) -> bool:
-    if backend is None:
-        return NUMBA_ENABLED
-    if backend == "numba":
-        if not NUMBA_ENABLED:
-            raise RuntimeError("numba backend requested but unavailable or disabled")
-        return True
-    if backend == "numpy":
-        return False
-    raise ValueError(f"unknown backend {backend!r}")
-
-
-def brute_force_sum(rho0v, k_tensor, self_end, self_int, f_ii, f_ei, f_ee,
-                    n_steps: int, dk_max: int, backend: str | None = None):
-    """Sum over all 4^(N+1) forward/backward paths; returns the final 4-vector."""
-    args = (np.ascontiguousarray(rho0v, dtype=np.complex128),
-            np.ascontiguousarray(k_tensor, dtype=np.complex128),
-            np.ascontiguousarray(self_end, dtype=np.complex128),
-            np.ascontiguousarray(self_int, dtype=np.complex128),
-            np.ascontiguousarray(f_ii, dtype=np.complex128),
-            np.ascontiguousarray(f_ei, dtype=np.complex128),
-            np.ascontiguousarray(f_ee, dtype=np.complex128),
-            int(n_steps), int(dk_max))
-    fn = _brute_nb if _resolve_backend(backend) else _brute_np
-    return fn(*args)

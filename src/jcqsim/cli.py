@@ -165,10 +165,10 @@ def cmd_evolve(config: RunConfig, out, dump_eta: str | None = None) -> int:
         raise ConfigError("evolve requires an output path")
     echo_config(config, out)
     table = eta_coefficients(config.bath, config.dt_ps, config.n_steps, config.dk_max)
+    transfer = build_transfer_tensor(short_time_propagator(config.qubit, config.dt_ps), table)
     if dump_eta:
         dump_eta_csv(table, dump_eta)
         out.write(f"wrote coefficient table to {dump_eta}\n")
-    transfer = build_transfer_tensor(short_time_propagator(config.qubit, config.dt_ps), table)
     trajectory = propagate(initial_state(config.initial_state), transfer, table,
                            config.n_steps, sample_every=config.sample_every)
     rows = zip(trajectory.times, trajectory.rho00, trajectory.rho11,
@@ -295,10 +295,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             return cmd_oracle(config, args.oracle_n_steps, out)
         raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

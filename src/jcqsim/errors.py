@@ -14,7 +14,7 @@ class ConfigError(SimulationError):
 
 
 class CapacityError(ConfigError):
-    """Exact path enumeration requested beyond the supported size."""
+    """Path enumeration or memory span requested beyond the supported size."""
 
 
 class NumericalError(SimulationError):

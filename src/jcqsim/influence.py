@@ -1,4 +1,4 @@
-"""Discretized influence-functional coefficients and pairwise influence factors.
+"""Discretized influence-functional coefficients and their factor tables.
 
 Paths are piecewise constant on cells of the time grid: interior points own
 full cells [(k-1/2) dt, (k+1/2) dt], while the first and last points own
@@ -168,34 +168,21 @@ def dump_eta_csv(table: EtaTable, path: str) -> None:
                 fh.write(f"{dk},{kind},{fmt(eta.real)},{fmt(eta.imag)}\n")
 
 
-def _check_pair(pair):
-    s_plus, s_minus = pair
-    if s_plus not in (-1, 1) or s_minus not in (-1, 1):
-        raise ValueError(f"spin pair values must be +-1, got {pair}")
-    return float(s_plus), float(s_minus)
-
-
-def influence_factor_I0(pair, eta_self: complex) -> complex:
-    """Self-interaction factor of one time point for spin pair (s+, s-)."""
-    sp, sm = _check_pair(pair)
-    return np.exp(-_G2 / HBAR * (sp - sm) * (eta_self * sp - np.conj(eta_self) * sm))
-
-
-def influence_factor_Idk(pair_early, pair_late, eta_pair: complex) -> complex:
-    """Cross factor between an earlier and a later time point."""
-    ep, em = _check_pair(pair_early)
-    lp, lm = _check_pair(pair_late)
-    return np.exp(-_G2 / HBAR * (lp - lm) * (eta_pair * ep - np.conj(eta_pair) * em))
-
-
 def self_factor_table(eta_self: complex) -> np.ndarray:
-    """I0 over the 4 spin-pair indices."""
+    """Self factor I0 of one time point over the 4 spin-pair indices p = 2 b+ + b-.
+
+    I0 = exp(-g^2/hbar (s+ - s-)(eta s+ - conj(eta) s-)) with s = 1 - 2b.
+    """
     return np.exp(-_G2 / HBAR * (SPIN_PLUS - SPIN_MINUS)
                   * (eta_self * SPIN_PLUS - np.conj(eta_self) * SPIN_MINUS))
 
 
 def pair_factor_table(eta_pair: complex) -> np.ndarray:
-    """I_dk as a (4, 4) array indexed [early pair, late pair]."""
+    """Cross factor I_dk as a (4, 4) array indexed [early pair, late pair].
+
+    I_dk = exp(-g^2/hbar (l+ - l-)(eta e+ - conj(eta) e-)) for the early
+    spins (e+, e-) and the late spins (l+, l-).
+    """
     early = eta_pair * SPIN_PLUS - np.conj(eta_pair) * SPIN_MINUS
     late = SPIN_PLUS - SPIN_MINUS
     return np.exp(-_G2 / HBAR * np.outer(early, late))
@@ -208,30 +195,3 @@ def pair_class(earlier: int, later: int, n_final: int) -> str:
     if earlier == 0 or later == n_final:
         return "ei"
     return "ii"
-
-
-def assemble_influence(path_plus, path_minus, table: EtaTable) -> complex:
-    """Influence functional of one forward/backward path pair.
-
-    Product of all self factors and all pair factors up to separation
-    dk_max; with dk_max = N this is the complete discretized influence
-    functional. Endpoint coefficient classes apply at the first and last
-    points.
-    """
-    path_plus = list(path_plus)
-    path_minus = list(path_minus)
-    if len(path_plus) != len(path_minus):
-        raise ValueError(f"path lengths differ: {len(path_plus)} vs {len(path_minus)}")
-    n = len(path_plus) - 1
-    if n < 0:
-        raise ValueError("paths must contain at least one point")
-    value = 1.0 + 0.0j
-    for k in range(n + 1):
-        kind = ENDPOINT if k in (0, n) else INTERIOR
-        value *= influence_factor_I0((path_plus[k], path_minus[k]), table.eta_self(kind))
-    for dk in range(1, min(n, table.dk_max) + 1):
-        for e in range(0, n - dk + 1):
-            eta = table.eta_pair(dk, pair_class(e, e + dk, n))
-            value *= influence_factor_Idk((path_plus[e], path_minus[e]),
-                                          (path_plus[e + dk], path_minus[e + dk]), eta)
-    return value

@@ -57,16 +57,6 @@ def hamiltonian(params: QubitParameters) -> np.ndarray:
     return -0.5 * params.b_z * SIGMA_Z - 0.5 * params.b_x * SIGMA_X
 
 
-def _pair_tensor(u: np.ndarray) -> np.ndarray:
-    k = np.empty((4, 4), dtype=complex)
-    for p_old in range(4):
-        bp, bm = p_old >> 1, p_old & 1
-        for p_new in range(4):
-            cp, cm = p_new >> 1, p_new & 1
-            k[p_old, p_new] = u[cp, bp] * np.conj(u[cm, bm])
-    return k
-
-
 def short_time_propagator(params: QubitParameters, dt: float) -> PropagatorK:
     """Exact U = exp(-i H_s dt / hbar) via the analytic 2x2 formula."""
     if dt < 0.0:
@@ -78,7 +68,11 @@ def short_time_propagator(params: QubitParameters, dt: float) -> PropagatorK:
         theta = b_norm * dt / (2.0 * HBAR)
         axis = (params.b_x * SIGMA_X + params.b_z * SIGMA_Z) / b_norm
         u = np.cos(theta) * np.eye(2, dtype=complex) + 1j * np.sin(theta) * axis
-    return PropagatorK(dt=dt, u=u, tensor=_pair_tensor(u))
+    # tensor[(b+, b-), (c+, c-)] = U[c+, b+] conj(U[c-, b-]). np.kron(u, u.conj()).T
+    # holds the same products, but off the sweet spot its vectorized complex
+    # multiply rounds some of them differently in the last bit.
+    tensor = np.einsum("ik,jl->klij", u, u.conj()).reshape(4, 4)
+    return PropagatorK(dt=dt, u=u, tensor=tensor)
 
 
 def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-12,

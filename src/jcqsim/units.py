@@ -12,45 +12,9 @@ Constants are hardcoded at CODATA-2018 values and are not configurable.
 HBAR = 658.2119569  # ueV ps      (6.582119569e-16 eV s)
 K_B = 0.08617333262  # ueV / mK   (8.617333262e-5 eV/K)
 
-_UEV_PER_EV = 1.0e6
-_PS_PER_S = 1.0e12
-_MK_PER_K = 1.0e3
-
 
 def thermal_beta(temperature_mk: float) -> float:
     """Inverse thermal energy 1/(k_B T) in 1/ueV for a temperature in mK."""
     if temperature_mk <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature_mk} mK")
     return 1.0 / (K_B * temperature_mk)
-
-
-def energy_to_ev(energy_uev: float) -> float:
-    return energy_uev / _UEV_PER_EV
-
-
-def energy_from_ev(energy_ev: float) -> float:
-    return energy_ev * _UEV_PER_EV
-
-
-def time_to_seconds(time_ps: float) -> float:
-    return time_ps / _PS_PER_S
-
-
-def time_from_seconds(time_s: float) -> float:
-    return time_s * _PS_PER_S
-
-
-def temperature_to_kelvin(temperature_mk: float) -> float:
-    return temperature_mk / _MK_PER_K
-
-
-def temperature_from_kelvin(temperature_k: float) -> float:
-    return temperature_k * _MK_PER_K
-
-
-def frequency_to_rad_per_second(omega_per_ps: float) -> float:
-    return omega_per_ps * _PS_PER_S
-
-
-def frequency_from_rad_per_second(omega_per_s: float) -> float:
-    return omega_per_s / _PS_PER_S

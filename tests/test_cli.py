@@ -104,6 +104,17 @@ class TestEvolveCommand:
         assert code == EXIT_OK
         assert eta_file.read_text().startswith("dk,class,re_eta,im_eta\n")
 
+    def test_memory_span_over_cap_writes_nothing(self, tmp_path, capsys):
+        out_file = tmp_path / "traj.csv"
+        eta_file = tmp_path / "eta.csv"
+        code, _, err = run_cli(capsys, "evolve", "--output", str(out_file),
+                               "--dump-eta", str(eta_file), "--t-max-ps", "200",
+                               "--dk-max", "11")
+        assert code == EXIT_CONFIG
+        assert "dk_max = 10" in err
+        assert not eta_file.exists()
+        assert not out_file.exists()
+
     def test_12_significant_digits(self, tmp_path, capsys):
         out_file = tmp_path / "t.csv"
         run_cli(capsys, "evolve", "--output", str(out_file), "--t-max-ps", "200",

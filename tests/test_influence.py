@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from jcqsim import (HBAR, NumericalError, OhmicBath, assemble_influence,
-                    eta_coefficients, influence_factor_I0, influence_factor_Idk)
-from jcqsim.influence import COUPLING_WEIGHT, pair_factor_table, self_factor_table
+from jcqsim import HBAR, NumericalError, OhmicBath, eta_coefficients
+from jcqsim.influence import (COUPLING_WEIGHT, ENDPOINT, INTERIOR, pair_class,
+                              pair_factor_table, self_factor_table)
 from oracles import (eta_pair_time_domain, eta_pair_trapezoid_2d,
                      eta_self_time_domain, monolithic_influence)
 
@@ -100,80 +100,86 @@ class TestTimeDomainOracles:
         assert abs(table.eta_pair(dk, kind) - ref) / abs(ref) < 1e-6
 
 
+def pair_index(s_plus, s_minus):
+    """Spin-pair index p = 2 b+ + b- of the factor tables, with s = 1 - 2b."""
+    return (1 - s_plus) + (1 - s_minus) // 2
+
+
+def factored_influence(path_plus, path_minus, table):
+    """Product of the factor-table entries along one path pair."""
+    n = len(path_plus) - 1
+    p = [pair_index(sp, sm) for sp, sm in zip(path_plus, path_minus)]
+    value = 1.0 + 0.0j
+    for k in range(n + 1):
+        kind = ENDPOINT if k in (0, n) else INTERIOR
+        value *= self_factor_table(table.eta_self(kind))[p[k]]
+    for dk in range(1, min(n, table.dk_max) + 1):
+        for e in range(0, n - dk + 1):
+            eta = table.eta_pair(dk, pair_class(e, e + dk, n))
+            value *= pair_factor_table(eta)[p[e], p[e + dk]]
+    return value
+
+
 class TestFactors:
+    """Entries of the factor tables, indexed p = 2 b+ + b-: (+1, +1) is 0, (+1, -1) is 1."""
 
     def test_diagonal_pair_is_unity(self, table):
-        eta = table.eta_self_interior
-        assert influence_factor_I0((1, 1), eta) == 1.0
-        assert influence_factor_I0((-1, -1), eta) == 1.0
+        factors = self_factor_table(table.eta_self_interior)
+        assert factors[pair_index(1, 1)] == 1.0
+        assert factors[pair_index(-1, -1)] == 1.0
 
     def test_zero_eta_is_unity(self):
-        assert influence_factor_I0((1, -1), 0.0) == 1.0
-        assert influence_factor_Idk((1, -1), (-1, 1), 0.0) == 1.0
+        assert self_factor_table(0.0)[pair_index(1, -1)] == 1.0
+        assert pair_factor_table(0.0)[pair_index(1, -1), pair_index(-1, 1)] == 1.0
 
     def test_offdiagonal_self_factor_algebra(self, table):
         # (s+, s-) = (+1, -1): exponent collapses to the real damping
         # 4 g^2 Re(eta) / hbar with the coupling weight g = 1/2
         eta = table.eta_self_interior
         direct = np.exp(-COUPLING_WEIGHT**2 / HBAR * 2.0 * (eta + np.conj(eta)))
-        value = influence_factor_I0((1, -1), eta)
+        value = self_factor_table(eta)[pair_index(1, -1)]
         assert value == pytest.approx(direct, rel=1e-15)
         assert value == pytest.approx(np.exp(-4.0 * COUPLING_WEIGHT**2 * eta.real / HBAR),
                                       rel=1e-15)
         assert abs(value) < 1.0
 
     def test_pair_factor_unity_for_diagonal_late_pair(self, table):
-        eta = table.eta_pair(1, "ii")
+        factors = pair_factor_table(table.eta_pair(1, "ii"))
         for early in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            assert influence_factor_Idk(early, (1, 1), eta) == 1.0
-            assert influence_factor_Idk(early, (-1, -1), eta) == 1.0
-
-    def test_tables_match_scalar_functions(self, table):
-        eta = table.eta_pair(2, "ii")
-        tab = pair_factor_table(eta)
-        pairs = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-        for ie, early in enumerate(pairs):
-            for il, late in enumerate(pairs):
-                assert tab[ie, il] == influence_factor_Idk(early, late, eta)
-        stab = self_factor_table(eta)
-        for ip, pair in enumerate(pairs):
-            assert stab[ip] == influence_factor_I0(pair, eta)
-
-    def test_invalid_spins_rejected(self, table):
-        with pytest.raises(ValueError):
-            influence_factor_I0((0, 1), table.eta_self_interior)
-        with pytest.raises(ValueError):
-            influence_factor_Idk((1, 2), (1, 1), table.eta_pair(1, "ii"))
+            assert factors[pair_index(*early), pair_index(1, 1)] == 1.0
+            assert factors[pair_index(*early), pair_index(-1, -1)] == 1.0
 
 
 class TestAssembleInfluence:
+    """The influence functional of one path pair, from the production eta table.
+
+    ``monolithic_influence`` evaluates the literal double sum in one
+    exponential; ``factored_influence`` multiplies the factor tables that
+    the ITM and the path sum use.
+    """
 
     def test_identical_paths_give_unity(self, table):
         path = [1, -1, 1, 1, -1]
-        assert assemble_influence(path, path, table) == pytest.approx(1.0, abs=1e-15)
+        assert monolithic_influence(path, path, table) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_coupling_gives_unity(self):
         free = OhmicBath(alpha=0.0, omega_c=5.0, temperature=30.0)
         table = eta_coefficients(free, DT, 4, 4)
-        value = assemble_influence([1, -1, 1], [-1, -1, 1], table)
+        value = monolithic_influence([1, -1, 1], [-1, -1, 1], table)
         assert value == pytest.approx(1.0, abs=1e-15)
-
-    def test_length_mismatch_rejected(self, table):
-        with pytest.raises(ValueError):
-            assemble_influence([1, 1], [1, 1, -1], table)
 
     def test_matches_monolithic_double_sum_n2(self, table):
         plus = [1, -1, 1]
         minus = [-1, 1, 1]
         ref = monolithic_influence(plus, minus, table)
-        assert assemble_influence(plus, minus, table) == pytest.approx(ref, rel=1e-13)
+        assert factored_influence(plus, minus, table) == pytest.approx(ref, rel=1e-13)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_factorization_equals_double_sum_exhaustively(self, table, n):
         worst = 0.0
         for plus in itertools.product((1, -1), repeat=n + 1):
             for minus in itertools.product((1, -1), repeat=n + 1):
-                a = assemble_influence(plus, minus, table)
+                a = factored_influence(plus, minus, table)
                 b = monolithic_influence(plus, minus, table)
                 worst = max(worst, abs(a - b) / max(abs(b), 1e-300))
         assert worst < 1e-12
@@ -182,13 +188,13 @@ class TestAssembleInfluence:
     def test_modulus_bounded_by_unity(self, table, n):
         for plus in itertools.product((1, -1), repeat=n + 1):
             for minus in itertools.product((1, -1), repeat=n + 1):
-                assert abs(assemble_influence(plus, minus, table)) <= 1.0 + 1e-12
+                assert abs(monolithic_influence(plus, minus, table)) <= 1.0 + 1e-12
 
     def test_log_factor_linear_in_alpha(self, paper_bath):
         doubled = OhmicBath(alpha=1e-5, omega_c=5.0, temperature=30.0)
         t1 = eta_coefficients(paper_bath, DT, 4, 4)
         t2 = eta_coefficients(doubled, DT, 4, 4)
         plus, minus = [1, -1, 1, -1, 1], [-1, 1, 1, 1, -1]
-        log1 = np.log(assemble_influence(plus, minus, t1))
-        log2 = np.log(assemble_influence(plus, minus, t2))
+        log1 = np.log(monolithic_influence(plus, minus, t1))
+        log2 = np.log(monolithic_influence(plus, minus, t2))
         assert log2 / log1 == pytest.approx(2.0, rel=1e-10)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from jcqsim import (CapacityError, ConfigError, HBAR, InstabilityError, OhmicBat
                     brute_force_path_sum, build_transfer_tensor, eta_coefficients,
                     initial_state, propagate, short_time_propagator)
 from jcqsim.influence import EtaTable
-from oracles import per_step_evolve_window
+from oracles import monolithic_influence, per_step_evolve_window
 
 DT = 12.707
 
@@ -109,13 +110,11 @@ class TestOracleEquivalence:
         rho = brute_force_path_sum(initial_state("zero"), paper_qubit, table, 4)
         assert np.abs(rho - rho.conj().T).max() < 1e-12
 
-    def test_path_sum_matches_assembled_definition(self, paper_bath, paper_qubit):
-        # literal sum over paths: K chain times assemble_influence
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_path_sum_matches_assembled_definition(self, paper_bath, paper_qubit, n):
+        # literal sum over paths: K chain times the unfactorized influence functional
         from itertools import product
 
-        from jcqsim import assemble_influence
-
-        n = 3
         table = eta_coefficients(paper_bath, DT, n, n)
         u = short_time_propagator(paper_qubit, DT).u
         rho0 = initial_state("plus")
@@ -126,8 +125,8 @@ class TestOracleEquivalence:
                 weight = rho0[fwd[0], bwd[0]]
                 for k in range(n):
                     weight *= u[fwd[k + 1], fwd[k]] * np.conj(u[bwd[k + 1], bwd[k]])
-                weight *= assemble_influence([1 - 2 * b for b in fwd],
-                                             [1 - 2 * b for b in bwd], table)
+                weight *= monolithic_influence([1 - 2 * b for b in fwd],
+                                               [1 - 2 * b for b in bwd], table)
                 expected[fwd[n], bwd[n]] += weight
         rho = brute_force_path_sum(rho0, paper_qubit, table, n)
         np.testing.assert_allclose(rho, expected, atol=1e-13)
@@ -173,6 +172,20 @@ class TestGuardsAndErrors:
         table = eta_coefficients(paper_bath, DT, 11, 1)
         with pytest.raises(CapacityError):
             brute_force_path_sum(initial_state("zero"), paper_qubit, table, 11)
+
+    def test_memory_span_cap(self, paper_bath, paper_qubit):
+        # a span of 11 would need tensors of 4^12 complex entries (256 MiB); the cap
+        # raises before any of them is allocated
+        table = eta_coefficients(paper_bath, DT, 20, itm.SPAN_CAP + 1)
+        prop = short_time_propagator(paper_qubit, DT)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                build_transfer_tensor(prop, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_explosion_guard_reports_step(self, monkeypatch, paper_qubit):
         # an amplifying self term (negative real part) blows the window up

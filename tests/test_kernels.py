@@ -1,4 +1,4 @@
-"""The steady window kernel against a per-step reference; the path-sum backends."""
+"""The steady window kernel against a per-step reference."""
 
 import functools
 import warnings
@@ -7,16 +7,13 @@ import numpy as np
 import pytest
 
 from jcqsim import _kernels, itm
-from jcqsim import (InstabilityError, brute_force_path_sum, build_transfer_tensor,
-                    eta_coefficients, initial_state, propagate, short_time_propagator)
+from jcqsim import (InstabilityError, build_transfer_tensor, eta_coefficients,
+                    initial_state, propagate, short_time_propagator)
 from jcqsim.influence import EtaTable
 from oracles import per_step_evolve_window
 
 DT = 12.707
 N_STEPS = 5003  # a multiple of neither 7 nor 64
-
-needs_numba = pytest.mark.skipif(not _kernels.NUMBA_ENABLED,
-                                 reason="numba unavailable or disabled")
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +78,7 @@ def amplifying_table(dk_max, eta_self_interior):
 
 
 def test_backend_name():
-    assert _kernels.backend_name() in ("numba", "numpy")
+    assert _kernels.backend_name() == "numpy"
 
 
 @pytest.mark.parametrize("every", [1, 7, 64])
@@ -165,12 +162,3 @@ def test_non_finite_powers_are_stepped(paper_qubit):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _kernels._jump_blocks(transfer.step, correction, {1, 100}).keys() == {1}
-
-
-@needs_numba
-def test_brute_force_backends_agree(paper_bath, paper_qubit):
-    table = eta_coefficients(paper_bath, 12.707, 5, 3)
-    rho0 = initial_state("zero")
-    a = brute_force_path_sum(rho0, paper_qubit, table, 5, backend="numba")
-    b = brute_force_path_sum(rho0, paper_qubit, table, 5, backend="numpy")
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-300)

@@ -38,17 +38,6 @@ def test_characteristic_time_of_working_point():
     assert units.HBAR / 51.8 == pytest.approx(12.707, abs=5e-4)
 
 
-@pytest.mark.parametrize("to_si,from_si,value", [
-    (units.energy_to_ev, units.energy_from_ev, 51.8),
-    (units.time_to_seconds, units.time_from_seconds, 12.707),
-    (units.temperature_to_kelvin, units.temperature_from_kelvin, 30.0),
-    (units.frequency_to_rad_per_second, units.frequency_from_rad_per_second, 5.0),
-])
-def test_si_round_trips(to_si, from_si, value):
-    assert from_si(to_si(value)) == pytest.approx(value, rel=1e-14)
-    assert to_si(from_si(value)) == pytest.approx(value, rel=1e-14)
-
-
 def test_hbar_value_matches_codata():
     # 6.582119569e-16 eV s expressed in ueV ps
     assert units.HBAR == pytest.approx(6.582119569e-16 * 1e6 * 1e12, rel=1e-14)
