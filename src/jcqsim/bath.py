@@ -16,10 +16,14 @@ bath, gamma(t) here and the influence coefficients in ``influence``, goes
 through ``spectral_integrals``: Gauss-Legendre panels on [0, 50 w_c],
 geometric near w = 0 for the thermal feature of coth and one oscillation
 period wide beyond, with a lower-order rule on the same panels as the
-error estimate.
+error estimate. Each integrated row oscillates as e^{i w tau}; on the
+uniform panels that factor splits into a panel-midpoint phase and a node
+phase shared by every panel, so a row costs one product per panel, not
+one cosine and sine per node.
 """
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -34,11 +38,14 @@ _CUTOFF_MULTIPLE = 50.0
 _GL_NODES = 16
 _GL_CHECK_NODES = 9
 # response_function integrates this many ascending times on the grid of
-# the largest.
-_TIME_CHUNK = 8
-# Panels per pass, which bounds the working memory at any t; and the most
-# panels one grid may have (t of about 1e5 ps), which bounds its edges.
-_PANEL_BLOCK = 4096
+# the largest. Larger chunks share each pass among more rows, but put the
+# small times of a chunk on a grid finer than they need; memory_time is 2.5
+# times slower at 8 and flat from 64 to 128.
+_TIME_CHUNK = 64
+# (panel, row) entries per pass, which bounds the working memory at any t
+# and row count (larger passes measured no faster); and the most panels one
+# grid may have (t of about 1e5 ps).
+_BLOCK_VALUES = 2**14
 _MAX_PANELS = 2**22
 
 
@@ -98,74 +105,117 @@ def _x_coth_x(x):
     return np.where(small, 1.0 + x * x / 3.0, safe / np.tanh(safe))
 
 
-def _panel_nodes(edges: np.ndarray, n: int):
-    """Gauss-Legendre nodes and weights of order n, shape (panels, n)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * np.diff(edges)[:, None]
-    mid = edges[:-1, None] + half
-    return mid + half * x, half * w
+@cache
+def _nodes():
+    """Gauss-Legendre nodes and weights on [-1, 1]: the value rule's, then the check rule's."""
+    rules = [np.polynomial.legendre.leggauss(n) for n in (_GL_NODES, _GL_CHECK_NODES)]
+    return tuple(np.concatenate(part) for part in zip(*rules))
 
 
-def _omega_grid(bath: OhmicBath, t_scale: float) -> np.ndarray:
-    """Panel edges on [0, 50 w_c]: geometric near zero, one period wide beyond."""
+def _omega_grid(bath: OhmicBath, t_scale: float):
+    """Panels on [0, 50 w_c]: geometric near zero, one period wide beyond.
+
+    Returns the edges of the geometric panels, then the uniform part as
+    ``(start, half, count)``: ``count`` panels of half-width ``half`` from
+    ``start``, the last geometric edge.
+    """
     w_max = _CUTOFF_MULTIPLE * bath.omega_c
     width = min(0.5 * bath.omega_c, 2.0 * np.pi / max(t_scale, 1e-12))
     # the thermal feature of coth(b w), b = beta hbar / 2, lives below ~1/b:
     # panels double in width from 0.01/b until they are as wide as the
     # uniform ones
-    fine = []
+    fine = [0.0]
     e = 0.01 / (0.5 * bath.beta * HBAR)
     while e < width:
         fine.append(e)
         e *= 2.0
-    start = fine[-1] if fine else 0.0
-    n_uniform = int(np.ceil((w_max - start) / width))
-    if n_uniform > _MAX_PANELS:
-        raise NumericalError(f"panel grid for t = {t_scale} ps needs {n_uniform} panels, "
+    start = fine[-1]
+    count = int(np.ceil((w_max - start) / width))
+    if count > _MAX_PANELS:
+        raise NumericalError(f"panel grid for t = {t_scale} ps needs {count} panels, "
                              f"above the limit of {_MAX_PANELS}")
-    return np.unique(np.concatenate(
-        [[0.0], fine, np.linspace(start, w_max, n_uniform + 1)[1:]]))
+    return np.array(fine), (start, 0.5 * (w_max - start) / count, count)
 
 
-def spectral_integrals(bath: OhmicBath, t_scale: float, windows):
-    """Integrate window rows against the Ohmic weights on one panel grid.
+def _progression(first, step, count, taus):
+    """e^{i (first + step j) tau} for j < count, shape (groups, count, rows).
 
-    ``windows(omega)`` returns ``(W_re, W_im)``, each of shape
-    ``(rows,) + omega.shape``. Row r gives
+    j = n a + c splits each factor into one of two tables of about
+    sqrt(count) exponentials, so the pass costs one product per entry.
+    """
+    n = int(np.ceil(np.sqrt(count)))
+    coarse = np.exp(1j * (first + step * n * np.arange(n))[:, None] * taus)
+    fine = np.exp(1j * (step * np.arange(n))[:, None] * taus)
+    table = coarse[:, :, None, :] * fine[:, None, :, :]
+    return table.reshape(taus.shape[0], n * n, -1)[:, :count]
+
+
+def _passes(bath: OhmicBath, t_scale: float, rows: int):
+    """The panel grid as passes ``(first, step, panels, half, offsets)``.
+
+    The nodes of a pass are w = first + step j + offsets[m, k], for j <
+    panels and a batch of offset rows m. A pass of uniform panels has one
+    offset row, h x, shared by all its panels; the geometric panels carry
+    their whole nodes as offsets, one batch row per panel. A pass holds at
+    most _BLOCK_VALUES (panel, row) entries, or one panel.
+    """
+    x = _nodes()[0]
+    fine, (start, half, count) = _omega_grid(bath, t_scale)
+    block = max(1, _BLOCK_VALUES // (rows + x.size))
+    fine_half = 0.5 * np.diff(fine)[:, None]
+    fine_nodes = fine[:-1, None] + fine_half * (1.0 + x)
+    for m in range(0, fine_nodes.shape[0], block):
+        yield 0.0, 0.0, 1, fine_half[m:m + block, :, None], fine_nodes[m:m + block]
+    for j in range(0, count, block):
+        yield start + (2 * j + 1) * half, 2.0 * half, min(block, count - j), half, half * x[None]
+
+
+def spectral_integrals(bath: OhmicBath, t_scale: float, taus, amplitudes):
+    """Integrate oscillating rows against the Ohmic weights on one panel grid.
+
+    ``taus`` has shape ``(groups, rows)``; ``amplitudes(omega)`` returns
+    ``(A_re, A_im)``, each broadcastable to ``(groups,) + omega.shape``.
+    Row (g, r) gives
 
         (1/pi) Int_0^inf dw J(w) [coth(b w) W_re(w) - i W_im(w)],   b = beta hbar / 2,
 
-    on panels one oscillation period wide at ``t_scale``, the largest time
-    the windows oscillate with. Returns the values and, per row, the sum
-    over panels of |Re| + |Im| of the difference to a lower-order rule.
+    with W_re = Re(A_re[g] e^{i w tau}) and W_im = Im(A_im[g] e^{i w tau}),
+    tau = taus[g, r], on panels one oscillation period wide at ``t_scale``,
+    the largest time the rows oscillate with. At a node w = m + h x of a
+    uniform panel with midpoint m and half-width h the phase splits as
+    e^{i m tau} e^{i h x tau}; every uniform panel has the same h, so the
+    node factors are one small matrix per pass and the node sum a matrix
+    product. Returns the values and, per row, the sum over panels of
+    |Re| + |Im| of the difference to a lower-order rule.
     """
+    taus = np.asarray(taus, dtype=float)
     b = 0.5 * bath.beta * HBAR
-    edges = _omega_grid(bath, t_scale)
+    x, w = _nodes()
     value, residual = 0.0, 0.0
-    for lo in range(0, edges.size - 1, _PANEL_BLOCK):
+    for first, step, panels, h, offsets in _passes(bath, t_scale, taus.size):
+        omega = first + step * np.arange(panels)[:, None] + offsets[..., None, :]
+        # (1/pi) J(w) coth(b w) = (2 hbar alpha / b) e^{-w/w_c} (b w) coth(b w)
+        decay = (h * w) * (2.0 * HBAR * bath.alpha) * np.exp(-omega / bath.omega_c)
+        a_re, a_im = amplitudes(omega)
+        node_phase = np.exp(1j * offsets[..., None] * taus[:, None, None, :])
+        panel_phase = _progression(first, step, panels, taus[:, None, :])[:, None]
         per_panel = []
-        for n in (_GL_NODES, _GL_CHECK_NODES):
-            omega, weights = _panel_nodes(edges[lo:lo + _PANEL_BLOCK + 1], n)
-            # (1/pi) J(w) coth(b w) = (2 hbar alpha / b) e^{-w/w_c} (b w) coth(b w)
-            decay = weights * (2.0 * HBAR * bath.alpha) * np.exp(-omega / bath.omega_c)
-            s_re = decay * _x_coth_x(b * omega) / b
-            s_im = decay * omega
-            w_re, w_im = windows(omega)
-            per_panel.append(((np.asarray(w_re) * s_re).sum(axis=-1),
-                              (np.asarray(w_im) * s_im).sum(axis=-1)))
-        (re, im), (re_low, im_low) = per_panel
-        value = value + re.sum(axis=-1) - 1j * im.sum(axis=-1)
-        residual = residual + np.abs(re - re_low).sum(axis=-1) + np.abs(im - im_low).sum(axis=-1)
+        for weights in (a_re * decay * _x_coth_x(b * omega) / b, a_im * decay * omega):
+            value_rule = weights[..., :_GL_NODES] @ node_phase[..., :_GL_NODES, :]
+            check_rule = weights[..., _GL_NODES:] @ node_phase[..., _GL_NODES:, :]
+            per_panel.append((panel_phase * value_rule, panel_phase * (value_rule - check_rule)))
+        (re, re_error), (im, im_error) = per_panel
+        value = value + re.real.sum(axis=(1, 2)) - 1j * im.imag.sum(axis=(1, 2))
+        residual = (residual + np.abs(re_error.real).sum(axis=(1, 2))
+                    + np.abs(im_error.imag).sum(axis=(1, 2)))
     return value, residual
 
 
 def _gamma_chunk(bath: OhmicBath, times: np.ndarray):
     """gamma and its residual at ascending ``times``, on the grid of the last."""
-    def windows(omega):
-        phase = np.multiply.outer(times, omega)
-        return np.cos(phase), np.sin(phase)
-
-    return spectral_integrals(bath, times[-1], windows)
+    value, residual = spectral_integrals(bath, times[-1], times[None, :],
+                                         lambda omega: (1.0, 1.0))
+    return value[0], residual[0]
 
 
 def response_function(bath: OhmicBath, t, rtol: float = 1e-8) -> complex | np.ndarray:

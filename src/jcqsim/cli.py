@@ -255,8 +255,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_resp = sub.add_parser("response", help="bath response function CSV")
     _add_config_flags(p_resp)
-    p_resp.add_argument("--response-t-max-ps", type=float, default=50.0)
-    p_resp.add_argument("--n-points", type=int, default=500)
+    p_resp.add_argument("--response-t-max-ps", type=float, default=50.0,
+                        help="last time of the grid in ps, which starts at 0 (default 50)")
+    p_resp.add_argument("--n-points", type=int, default=500, metavar="N",
+                        help="number of equal intervals on [0, t_max]; the CSV gets "
+                             "N + 1 rows, both ends included (default 500)")
 
     p_evolve = sub.add_parser("evolve", help="evolve the reduced density matrix")
     _add_config_flags(p_evolve)

@@ -12,9 +12,12 @@ with the self term integrated over the ordered triangle t'' < t'. They are
 evaluated in the frequency domain: folding the cell geometry into the
 omega-integrand gives windows that are regular at omega -> 0, and
 ``bath.spectral_integrals`` integrates them against the Ohmic weights. The
-two self terms share one panel grid; the three pair classes at separation
-dk share another, one oscillation period wide at (dk + 1) dt. The engine's
-lower-order error estimate gates the table at 1e-8 of max|eta|.
+two self terms share one panel grid. Every pair row is a class amplitude
+times the phase e^{i w tau}, tau fixed by the class and dk, so the pairs of
+all separations share a second grid, one oscillation period wide at
+(dk_max + 1) dt, on which the three class amplitudes are evaluated once.
+The engine's lower-order error estimate gates the table at 1e-8 of
+max|eta|.
 
 A pair coefficient carries one of three classes depending on which cells it
 connects: interior-interior, endpoint-interior or endpoint-endpoint.
@@ -99,20 +102,17 @@ def _self_windows(omega, width):
     return w_re, w_im
 
 
-def _pair_windows(omega, dt, dk, kind):
-    """(W_re, W_im)/omega^2 for two cells at separation dk of the given class."""
-    if kind == "ii":
-        amp = dt * dt * _sinc(0.5 * omega * dt) ** 2
-        phase = dk * dt
-    elif kind == "ei":
-        amp = 0.5 * dt * dt * _sinc(0.5 * omega * dt) * _sinc(0.25 * omega * dt)
-        phase = (dk - 0.25) * dt
-    elif kind == "ee":
-        amp = 0.25 * dt * dt * _sinc(0.25 * omega * dt) ** 2
-        phase = (dk - 0.5) * dt
-    else:
-        raise ValueError(f"unknown pair class {kind!r}")
-    return amp * np.cos(omega * phase), amp * np.sin(omega * phase)
+def _self_amplitudes(omega, dt):
+    """(A_re, A_im) of the interior and endpoint self rows, at tau = 0."""
+    w_re, w_im = zip(_self_windows(omega, dt), _self_windows(omega, 0.5 * dt))
+    return np.array(w_re), 1j * np.array(w_im)
+
+
+def _pair_amplitudes(omega, dt):
+    """(A_re, A_im) of the three pair classes, whose rows differ only in tau."""
+    inner, half = _sinc(0.5 * omega * dt), _sinc(0.25 * omega * dt)
+    amp = dt * dt * np.array([inner * inner, 0.5 * inner * half, 0.25 * half * half])
+    return amp, amp
 
 
 def eta_coefficients(bath: OhmicBath, dt: float, n_steps: int, dk_max: int) -> EtaTable:
@@ -127,28 +127,26 @@ def eta_coefficients(bath: OhmicBath, dt: float, n_steps: int, dk_max: int) -> E
     if not 1 <= dk_max <= n_steps:
         raise ValueError(f"dk_max must satisfy 1 <= dk_max <= n_steps, got {dk_max}")
 
-    # one panel grid carries both self terms, one per dk the three pair classes
-    integrals = [spectral_integrals(
-        bath, dt, lambda w: zip(_self_windows(w, dt), _self_windows(w, 0.5 * dt)))]
-    integrals += [spectral_integrals(
-        bath, (dk + 1) * dt,
-        lambda w, d=dk: zip(*(_pair_windows(w, dt, d, k) for k in _PAIR_CLASSES)))
-        for dk in range(1, dk_max + 1)]
-    etas, residuals = zip(*integrals)
-    scale = max(np.abs(eta).max() for eta in etas)
-    residual = max(res.max() for res in residuals)
+    # the two self terms on one panel grid, the pairs of every dk on another;
+    # a pair of class (ii, ei, ee) at separation dk oscillates with
+    # tau = (dk - 0, 0.25, 0.5) dt
+    self_eta, self_res = spectral_integrals(bath, dt, np.zeros((2, 1)),
+                                            lambda w: _self_amplitudes(w, dt))
+    taus = (np.arange(1, dk_max + 1) - np.array([[0.0], [0.25], [0.5]])) * dt
+    pair, pair_res = spectral_integrals(bath, (dk_max + 1) * dt, taus,
+                                        lambda w: _pair_amplitudes(w, dt))
+    scale = max(np.abs(self_eta).max(), np.abs(pair).max())
+    residual = max(self_res.max(), pair_res.max())
     if residual > _ETA_RTOL * scale:
         raise NumericalError(f"eta quadrature residual {residual:.3e} above "
                              f"target {_ETA_RTOL * scale:.3e}",
                              residual=residual / scale)
-    self_int, self_end = etas[0]
-    pair = np.array(etas[1:])
 
     return EtaTable(dt=dt, n_steps=n_steps, dk_max=dk_max,
-                    eta_self_interior=complex(self_int), eta_self_end=complex(self_end),
-                    eta_pair_interior=pair[:, 0],
-                    eta_pair_end_interior=pair[:, 1],
-                    eta_pair_end_end=pair[:, 2])
+                    eta_self_interior=complex(self_eta[0, 0]),
+                    eta_self_end=complex(self_eta[1, 0]),
+                    eta_pair_interior=pair[0], eta_pair_end_interior=pair[1],
+                    eta_pair_end_end=pair[2])
 
 
 def dump_eta_csv(table: EtaTable, path: str) -> None:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from jcqsim import (HBAR, NumericalError, OhmicBath, SaturationError, memory_time,
-                    power_spectrum, response_function, spectral_density,
-                    thermal_beta)
+from jcqsim import (HBAR, NumericalError, OhmicBath, SaturationError, eta_coefficients,
+                    memory_time, power_spectrum, response_function,
+                    spectral_density, thermal_beta)
 from oracles import analytic_gamma, trapezoid_gamma
 
 
@@ -94,6 +96,19 @@ class TestResponseFunction:
                 val = response_function(bath, t)
                 assert abs(val - ref) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("temperature", [10.0, 30.0, 300.0])
+    def test_analytic_oracle_dense_vector(self, temperature):
+        # one unsorted call over several chunks, so rows of different times
+        # share the panel and node factors of each grid
+        bath = OhmicBath(5e-6, 5.0, temperature)
+        times = np.random.default_rng(7).permutation(
+            np.concatenate([np.linspace(0.0, 100.0, 201), [1000.0]]))
+        gammas = response_function(bath, times)
+        scale = abs(analytic_gamma(bath, 0.0).real)
+        for t, gamma in zip(times, gammas):
+            assert abs(gamma - analytic_gamma(bath, t)) <= 1e-12 * scale
+        assert gammas[times == 0.0][0].imag == 0.0
+
     def test_memory_decay_ratio(self, paper_bath):
         re0 = response_function(paper_bath, 0.0).real
         assert abs(response_function(paper_bath, 10.0).real) / re0 < 0.02
@@ -168,6 +183,22 @@ class TestMemoryTime:
     def test_threshold_domain(self, paper_bath, threshold, grid):
         with pytest.raises(ValueError):
             memory_time(paper_bath, threshold, **grid)
+
+
+@pytest.mark.parametrize("work", [
+    pytest.param(lambda bath: memory_time(bath, 0.01), id="memory_time"),
+    pytest.param(lambda bath: eta_coefficients(bath, 12.707, 64, 64), id="eta-192-rows"),
+])
+def test_working_memory_bounded(paper_bath, work):
+    # passes shrink as the row count grows; the whole grid at once would
+    # hold hundreds of MB at dk_max = 64
+    tracemalloc.start()
+    try:
+        work(paper_bath)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_time_beyond_panel_limit(paper_bath):

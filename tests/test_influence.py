@@ -46,6 +46,19 @@ def test_residual_gate(paper_bath, monkeypatch):
     assert info.value.residual > 0.0
 
 
+def test_entries_independent_of_dk_max(paper_bath):
+    # the pair grid is set by dk_max; entries it shares must not move
+    wide = eta_coefficients(paper_bath, DT, 16, 16)
+    narrow = eta_coefficients(paper_bath, DT, 16, 4)
+    pairs = ("eta_pair_interior", "eta_pair_end_interior", "eta_pair_end_end")
+    scale = np.abs(np.hstack([wide.eta_self_interior, wide.eta_self_end,
+                              *(getattr(wide, name) for name in pairs)])).max()
+    for name in pairs:
+        assert np.abs(getattr(wide, name)[:4] - getattr(narrow, name)).max() <= 1e-15 * scale
+    assert wide.eta_self_interior == narrow.eta_self_interior
+    assert wide.eta_self_end == narrow.eta_self_end
+
+
 def test_self_terms_damp(table):
     assert table.eta_self_interior.real > 0.0
     assert table.eta_self_end.real > 0.0
