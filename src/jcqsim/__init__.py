@@ -9,7 +9,7 @@ from ._kernels import backend_name
 from .analysis import (ComparisonReport, DecayFit, bloch_decoherence_time,
                        compare, fit_decay)
 from .bath import (OhmicBath, memory_time, power_spectrum, response_function,
-                   spectral_density)
+                   response_integral, spectral_density)
 from .errors import (CapacityError, ConfigError, InstabilityError, NoDecayError,
                      NumericalError, SaturationError, SimulationError)
 from .influence import (COUPLING_WEIGHT, EtaTable, dump_eta_csv, eta_coefficients,

@@ -11,42 +11,34 @@ response function
     gamma(t) = (1/pi) Int_0^inf dw J(w) [coth(beta hbar w / 2) cos(wt)
                                          - i sin(wt)],
 
-whose width sets the bath memory time. Every frequency integral over the
-bath, gamma(t) here and the influence coefficients in ``influence``, goes
-through ``spectral_integrals``: Gauss-Legendre panels on [0, 50 w_c],
-geometric near w = 0 for the thermal feature of coth and one oscillation
-period wide beyond, with a lower-order rule on the same panels as the
-error estimate. Each integrated row oscillates as e^{i w tau}; on the
-uniform panels that factor splits into a panel-midpoint phase and a node
-phase shared by every panel, so a row costs one product per panel, not
-one cosine and sine per node.
+whose width sets the bath memory time. For this bath the integral has a
+closed form (Weiss, Quantum Dissipative Systems, the chapter on the Ohmic
+correlation function): expanding coth as a geometric series of
+exponentials sums it to a trigamma function. With z = 1/w_c - i t and
+b = beta hbar / 2,
+
+    gamma(t) = 2 hbar alpha [conj(1/z^2) + Re psi'(1 + z/(2b)) / (2 b^2)],
+
+and a double time integral of it, Q'' = gamma, is
+
+    Q(t) = 2 hbar alpha [conj(ln z) - 2 Re ln Gamma(1 + z/(2b))],
+
+with slope Q'(0) = 2 i hbar alpha w_c. ``influence`` builds every
+coefficient from second differences of Q, in which the integration
+constants cancel. gamma needs the trigamma function at complex argument,
+which scipy does not provide; ``_trigamma`` evaluates it in a dozen lines.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
+from scipy.special import loggamma
 
-from .errors import NumericalError, SaturationError
+from .errors import SaturationError
 from .units import HBAR, thermal_beta
 
-# Integration window: the exponential cutoff makes the integrand beyond
-# 50 w_c smaller than 1e-20 of the total.
-_CUTOFF_MULTIPLE = 50.0
-# Gauss-Legendre orders per panel: the value, and the lower-order check
-# whose difference to it is the error estimate.
-_GL_NODES = 16
-_GL_CHECK_NODES = 9
-# response_function integrates this many ascending times on the grid of
-# the largest. Larger chunks share each pass among more rows, but put the
-# small times of a chunk on a grid finer than they need; memory_time is 2.5
-# times slower at 8 and flat from 64 to 128.
-_TIME_CHUNK = 64
-# (panel, row) entries per pass, which bounds the working memory at any t
-# and row count (larger passes measured no faster); and the most panels one
-# grid may have (t of about 1e5 ps).
-_BLOCK_VALUES = 2**14
-_MAX_PANELS = 2**22
+# Bernoulli numbers B_2 .. B_16 of the asymptotic trigamma series.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
 
 
 @dataclass(frozen=True)
@@ -65,6 +57,9 @@ class OhmicBath:
     temperature: float
 
     def __post_init__(self):
+        for name in ("alpha", "omega_c", "temperature"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha < 0.0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.omega_c <= 0.0:
@@ -97,154 +92,58 @@ def power_spectrum(bath: OhmicBath, omega: float) -> float:
     return spectral_density(bath, omega) * HBAR / np.tanh(x)
 
 
-def _x_coth_x(x):
-    """x*coth(x), stable through x = 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 + x * x / 3.0, safe / np.tanh(safe))
+def _trigamma(w):
+    """psi'(w) for complex w with Re w >= 1.
 
-
-@cache
-def _nodes():
-    """Gauss-Legendre nodes and weights on [-1, 1]: the value rule's, then the check rule's."""
-    rules = [np.polynomial.legendre.leggauss(n) for n in (_GL_NODES, _GL_CHECK_NODES)]
-    return tuple(np.concatenate(part) for part in zip(*rules))
-
-
-def _omega_grid(bath: OhmicBath, t_scale: float):
-    """Panels on [0, 50 w_c]: geometric near zero, one period wide beyond.
-
-    Returns the edges of the geometric panels, then the uniform part as
-    ``(start, half, count)``: ``count`` panels of half-width ``half`` from
-    ``start``, the last geometric edge.
+    Twelve recurrence shifts psi'(w) = 1/w^2 + psi'(w + 1) move the argument
+    to |w| > 12, where the asymptotic series
+    1/w + 1/(2 w^2) + sum_k B_2k / w^(2k+1) through B_16 is exact in double
+    precision.
     """
-    w_max = _CUTOFF_MULTIPLE * bath.omega_c
-    width = min(0.5 * bath.omega_c, 2.0 * np.pi / max(t_scale, 1e-12))
-    # the thermal feature of coth(b w), b = beta hbar / 2, lives below ~1/b:
-    # panels double in width from 0.01/b until they are as wide as the
-    # uniform ones
-    fine = [0.0]
-    e = 0.01 / (0.5 * bath.beta * HBAR)
-    while e < width:
-        fine.append(e)
-        e *= 2.0
-    start = fine[-1]
-    count = int(np.ceil((w_max - start) / width))
-    if count > _MAX_PANELS:
-        raise NumericalError(f"panel grid for t = {t_scale} ps needs {count} panels, "
-                             f"above the limit of {_MAX_PANELS}")
-    return np.array(fine), (start, 0.5 * (w_max - start) / count, count)
+    total = 0.0
+    for _ in range(12):
+        total = total + 1.0 / (w * w)
+        w = w + 1.0
+    u = 1.0 / (w * w)
+    series = 0.0
+    for b2k in reversed(_BERNOULLI):
+        series = (series + b2k) * u
+    return total + (1.0 + 0.5 / w + series) / w
 
 
-def _progression(first, step, count, taus):
-    """e^{i (first + step j) tau} for j < count, shape (groups, count, rows).
-
-    j = n a + c splits each factor into one of two tables of about
-    sqrt(count) exponentials, so the pass costs one product per entry.
-    """
-    n = int(np.ceil(np.sqrt(count)))
-    coarse = np.exp(1j * (first + step * n * np.arange(n))[:, None] * taus)
-    fine = np.exp(1j * (step * np.arange(n))[:, None] * taus)
-    table = coarse[:, :, None, :] * fine[:, None, :, :]
-    return table.reshape(taus.shape[0], n * n, -1)[:, :count]
+def _scaled_times(bath: OhmicBath, t):
+    """(z, b) of the closed forms at finite t >= 0, and whether t was a scalar."""
+    times = np.asarray(t, dtype=float)
+    bad = ~(np.isfinite(times) & (times >= 0.0))
+    if bad.any():
+        raise ValueError(f"t must be finite and >= 0, got {times[bad].ravel()[0]}")
+    return 1.0 / bath.omega_c - 1j * times, 0.5 * bath.beta * HBAR, times.ndim == 0
 
 
-def _passes(bath: OhmicBath, t_scale: float, rows: int):
-    """The panel grid as passes ``(first, step, panels, half, offsets)``.
-
-    The nodes of a pass are w = first + step j + offsets[m, k], for j <
-    panels and a batch of offset rows m. A pass of uniform panels has one
-    offset row, h x, shared by all its panels; the geometric panels carry
-    their whole nodes as offsets, one batch row per panel. A pass holds at
-    most _BLOCK_VALUES (panel, row) entries, or one panel.
-    """
-    x = _nodes()[0]
-    fine, (start, half, count) = _omega_grid(bath, t_scale)
-    block = max(1, _BLOCK_VALUES // (rows + x.size))
-    fine_half = 0.5 * np.diff(fine)[:, None]
-    fine_nodes = fine[:-1, None] + fine_half * (1.0 + x)
-    for m in range(0, fine_nodes.shape[0], block):
-        yield 0.0, 0.0, 1, fine_half[m:m + block, :, None], fine_nodes[m:m + block]
-    for j in range(0, count, block):
-        yield start + (2 * j + 1) * half, 2.0 * half, min(block, count - j), half, half * x[None]
-
-
-def spectral_integrals(bath: OhmicBath, t_scale: float, taus, amplitudes):
-    """Integrate oscillating rows against the Ohmic weights on one panel grid.
-
-    ``taus`` has shape ``(groups, rows)``; ``amplitudes(omega)`` returns
-    ``(A_re, A_im)``, each broadcastable to ``(groups,) + omega.shape``.
-    Row (g, r) gives
-
-        (1/pi) Int_0^inf dw J(w) [coth(b w) W_re(w) - i W_im(w)],   b = beta hbar / 2,
-
-    with W_re = Re(A_re[g] e^{i w tau}) and W_im = Im(A_im[g] e^{i w tau}),
-    tau = taus[g, r], on panels one oscillation period wide at ``t_scale``,
-    the largest time the rows oscillate with. At a node w = m + h x of a
-    uniform panel with midpoint m and half-width h the phase splits as
-    e^{i m tau} e^{i h x tau}; every uniform panel has the same h, so the
-    node factors are one small matrix per pass and the node sum a matrix
-    product. Returns the values and, per row, the sum over panels of
-    |Re| + |Im| of the difference to a lower-order rule.
-    """
-    taus = np.asarray(taus, dtype=float)
-    b = 0.5 * bath.beta * HBAR
-    x, w = _nodes()
-    value, residual = 0.0, 0.0
-    for first, step, panels, h, offsets in _passes(bath, t_scale, taus.size):
-        omega = first + step * np.arange(panels)[:, None] + offsets[..., None, :]
-        # (1/pi) J(w) coth(b w) = (2 hbar alpha / b) e^{-w/w_c} (b w) coth(b w)
-        decay = (h * w) * (2.0 * HBAR * bath.alpha) * np.exp(-omega / bath.omega_c)
-        a_re, a_im = amplitudes(omega)
-        node_phase = np.exp(1j * offsets[..., None] * taus[:, None, None, :])
-        panel_phase = _progression(first, step, panels, taus[:, None, :])[:, None]
-        per_panel = []
-        for weights in (a_re * decay * _x_coth_x(b * omega) / b, a_im * decay * omega):
-            value_rule = weights[..., :_GL_NODES] @ node_phase[..., :_GL_NODES, :]
-            check_rule = weights[..., _GL_NODES:] @ node_phase[..., _GL_NODES:, :]
-            per_panel.append((panel_phase * value_rule, panel_phase * (value_rule - check_rule)))
-        (re, re_error), (im, im_error) = per_panel
-        value = value + re.real.sum(axis=(1, 2)) - 1j * im.imag.sum(axis=(1, 2))
-        residual = (residual + np.abs(re_error.real).sum(axis=(1, 2))
-                    + np.abs(im_error.imag).sum(axis=(1, 2)))
-    return value, residual
-
-
-def _gamma_chunk(bath: OhmicBath, times: np.ndarray):
-    """gamma and its residual at ascending ``times``, on the grid of the last."""
-    value, residual = spectral_integrals(bath, times[-1], times[None, :],
-                                         lambda omega: (1.0, 1.0))
-    return value[0], residual[0]
-
-
-def response_function(bath: OhmicBath, t, rtol: float = 1e-8) -> complex | np.ndarray:
+def response_function(bath: OhmicBath, t) -> complex | np.ndarray:
     """Bath response function gamma(t) in ueV/ps, for finite t >= 0.
 
     ``t`` is a time or an array of times; the result is a complex or a
-    complex array of the same shape. The accuracy target is ``rtol``
-    relative to Re gamma(0); a NumericalError carrying the largest residual
-    is raised if the quadrature cannot certify it.
+    complex array of the same shape.
     """
-    times = np.asarray(t, dtype=float)
-    flat = times.ravel()
-    bad = ~(np.isfinite(flat) & (flat >= 0.0))
-    if bad.any():
-        raise ValueError(f"t must be finite and >= 0, got {flat[bad][0]}")
-    gamma = np.empty(flat.size, dtype=complex)
-    residual = np.empty(flat.size)
-    order = np.argsort(flat, kind="stable")
-    for i in range(0, flat.size, _TIME_CHUNK):
-        idx = order[i:i + _TIME_CHUNK]
-        gamma[idx], residual[idx] = _gamma_chunk(bath, flat[idx])
+    z, b, scalar = _scaled_times(bath, t)
+    # + 0.0 turns the -0.0 of alpha = 0, and of Im gamma(0), into 0.0
+    gamma = 2.0 * HBAR * bath.alpha * (np.conj(1.0 / (z * z))
+                                       + _trigamma(1.0 + z / (2.0 * b)).real
+                                       / (2.0 * b * b)) + 0.0
+    return complex(gamma) if scalar else gamma
 
-    scale = _gamma_chunk(bath, np.zeros(1))[0][0].real
-    worst = residual.max(initial=0.0)
-    if worst > rtol * scale:
-        raise NumericalError(f"response quadrature residual {worst:.3e} above target "
-                             f"{rtol * scale:.3e} at t={flat[np.argmax(residual)]}",
-                             residual=worst / scale)
-    return complex(gamma[0]) if times.ndim == 0 else gamma.reshape(times.shape)
+
+def response_integral(bath: OhmicBath, t) -> complex | np.ndarray:
+    """Double time integral Q(t) of gamma in ueV ps, for finite t >= 0.
+
+    Q'' = gamma; ``t`` is a time or an array of times, as for
+    ``response_function``.
+    """
+    z, b, scalar = _scaled_times(bath, t)
+    q = 2.0 * HBAR * bath.alpha * (np.conj(np.log(z))
+                                   - 2.0 * loggamma(1.0 + z / (2.0 * b)).real)
+    return complex(q) if scalar else q
 
 
 def memory_time(bath: OhmicBath, threshold: float, t_max: float = 100.0,

@@ -47,6 +47,9 @@ class RunConfig:
     output: str = ""
 
     def validate(self) -> "RunConfig":
+        for name in ("dt_ps", "t_max_ps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt_ps <= 0:
             raise ConfigError(f"dt_ps must be > 0, got {self.dt_ps}")
         if self.t_max_ps < self.dt_ps:

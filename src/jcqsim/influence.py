@@ -8,16 +8,13 @@ integrals of the bath response function over the cells,
 
     eta_{kk'} = Int_{cell k} dt' Int_{cell k'} dt'' gamma(t' - t''),
 
-with the self term integrated over the ordered triangle t'' < t'. They are
-evaluated in the frequency domain: folding the cell geometry into the
-omega-integrand gives windows that are regular at omega -> 0, and
-``bath.spectral_integrals`` integrates them against the Ohmic weights. The
-two self terms share one panel grid. Every pair row is a class amplitude
-times the phase e^{i w tau}, tau fixed by the class and dk, so the pairs of
-all separations share a second grid, one oscillation period wide at
-(dk_max + 1) dt, on which the three class amplitudes are evaluated once.
-The engine's lower-order error estimate gates the table at 1e-8 of
-max|eta|.
+with the self term integrated over the ordered triangle t'' < t'. With
+Q'' = gamma (``bath.response_integral``) both are differences of Q. A pair
+over a late cell [a1, a2] and an early cell [b1, b2] is
+
+    Q(a2 - b1) - Q(a2 - b2) - Q(a1 - b1) + Q(a1 - b2),
+
+and a self term over a cell of width L is Q(L) - Q(0) - L Q'(0).
 
 A pair coefficient carries one of three classes depending on which cells it
 connects: interior-interior, endpoint-interior or endpoint-endpoint.
@@ -32,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import OhmicBath, spectral_integrals
-from .errors import NumericalError
+from .bath import OhmicBath, response_integral
 from .units import HBAR
 
 # Bath couples to (sigma_z / 2); exponents scale with the square.
@@ -48,9 +44,11 @@ SPIN_PLUS = np.array([1.0, 1.0, -1.0, -1.0])
 SPIN_MINUS = np.array([1.0, -1.0, 1.0, -1.0])
 
 _PAIR_CLASSES = ("ii", "ei", "ee")
-
-# Largest accepted quadrature residual, relative to max|eta|.
-_ETA_RTOL = 1e-8
+# (late cell, early cell) of each pair class in units of dt, the late cell
+# relative to the late point and the early cell to the early point
+_PAIR_CELLS = np.array([[(-0.5, 0.5), (-0.5, 0.5)],
+                        [(-0.5, 0.5), (0.0, 0.5)],
+                        [(-0.5, 0.0), (0.0, 0.5)]])
 
 
 @dataclass(frozen=True)
@@ -86,65 +84,32 @@ class EtaTable:
         raise ValueError(f"unknown pair class {kind!r}")
 
 
-def _sinc(x):
-    return np.sinc(x / np.pi)
-
-
-def _self_windows(omega, width):
-    """(W_re, W_im)/omega^2 for the ordered triangle over one cell."""
-    z = omega * width
-    w_re = 0.5 * width * width * _sinc(0.5 * z) ** 2
-    small = np.abs(z) < 1e-2
-    zs = np.where(small, 1.0, z)
-    frac = np.where(small, z / 6.0 - z**3 / 120.0 + z**5 / 5040.0,
-                    (zs - np.sin(zs)) / (zs * zs))
-    w_im = width * width * frac
-    return w_re, w_im
-
-
-def _self_amplitudes(omega, dt):
-    """(A_re, A_im) of the interior and endpoint self rows, at tau = 0."""
-    w_re, w_im = zip(_self_windows(omega, dt), _self_windows(omega, 0.5 * dt))
-    return np.array(w_re), 1j * np.array(w_im)
-
-
-def _pair_amplitudes(omega, dt):
-    """(A_re, A_im) of the three pair classes, whose rows differ only in tau."""
-    inner, half = _sinc(0.5 * omega * dt), _sinc(0.25 * omega * dt)
-    amp = dt * dt * np.array([inner * inner, 0.5 * inner * half, 0.25 * half * half])
-    return amp, amp
-
-
 def eta_coefficients(bath: OhmicBath, dt: float, n_steps: int, dk_max: int) -> EtaTable:
     """Build the full coefficient table for a grid of ``n_steps`` steps.
 
     Interior pair entries depend only on the separation dk, so one entry per
-    dk and class covers the whole grid. Raises NumericalError if a
-    quadrature residual exceeds ``_ETA_RTOL`` of max|eta|.
+    dk and class covers the whole grid.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if not 1 <= dk_max <= n_steps:
         raise ValueError(f"dk_max must satisfy 1 <= dk_max <= n_steps, got {dk_max}")
 
-    # the two self terms on one panel grid, the pairs of every dk on another;
-    # a pair of class (ii, ei, ee) at separation dk oscillates with
-    # tau = (dk - 0, 0.25, 0.5) dt
-    self_eta, self_res = spectral_integrals(bath, dt, np.zeros((2, 1)),
-                                            lambda w: _self_amplitudes(w, dt))
-    taus = (np.arange(1, dk_max + 1) - np.array([[0.0], [0.25], [0.5]])) * dt
-    pair, pair_res = spectral_integrals(bath, (dk_max + 1) * dt, taus,
-                                        lambda w: _pair_amplitudes(w, dt))
-    scale = max(np.abs(self_eta).max(), np.abs(pair).max())
-    residual = max(self_res.max(), pair_res.max())
-    if residual > _ETA_RTOL * scale:
-        raise NumericalError(f"eta quadrature residual {residual:.3e} above "
-                             f"target {_ETA_RTOL * scale:.3e}",
-                             residual=residual / scale)
+    widths = np.array([dt, 0.5 * dt])
+    slope = 2j * HBAR * bath.alpha * bath.omega_c  # Q'(0), from the form of Q in bath
+    q0 = response_integral(bath, 0.0)
+    self_eta = response_integral(bath, widths) - q0 - widths * slope
+    # the four cell-edge differences a2 - b1, a2 - b2, a1 - b1, a1 - b2 of
+    # each class, at least dk - 1 >= 0 in units of dt
+    late, early = _PAIR_CELLS[:, 0], _PAIR_CELLS[:, 1]
+    edges = late[:, [1, 1, 0, 0]] - early[:, [0, 1, 0, 1]]
+    dk = np.arange(1, dk_max + 1)
+    q = response_integral(bath, (dk[:, None] + edges[:, None, :]) * dt)
+    pair = q @ np.array([1.0, -1.0, -1.0, 1.0])
 
     return EtaTable(dt=dt, n_steps=n_steps, dk_max=dk_max,
-                    eta_self_interior=complex(self_eta[0, 0]),
-                    eta_self_end=complex(self_eta[1, 0]),
+                    eta_self_interior=complex(self_eta[0]),
+                    eta_self_end=complex(self_eta[1]),
                     eta_pair_interior=pair[0], eta_pair_end_interior=pair[1],
                     eta_pair_end_end=pair[2])
 

@@ -25,6 +25,9 @@ class QubitParameters:
     n_g: float
 
     def __post_init__(self):
+        for name in ("e_j", "e_c", "n_g"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.e_j <= 0.0:
             raise ValueError(f"e_j must be positive, got {self.e_j}")
         if self.e_c <= 0.0:

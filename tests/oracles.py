@@ -1,11 +1,15 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the package's evaluation routes: the response
-function has a closed form in terms of the complex trigamma function
-(resumming coth as a geometric series of exponentials), and the influence
-coefficients are reduced to one-dimensional time-domain integrals of gamma
-against the geometric overlap kernel of the two integration cells.
+``analytic_gamma`` evaluates the package's closed form of the response
+function with mpmath's trigamma, so it checks the implementation;
+``trapezoid_gamma`` integrates the frequency-domain definition, so it
+checks the formula. The influence coefficients are reduced to
+one-dimensional time-domain integrals of gamma against the geometric
+overlap kernel of the two integration cells, avoiding the package's route
+through the double integral Q. These are slow, so their results are cached.
 """
+
+from functools import cache
 
 import mpmath as mp
 import numpy as np
@@ -89,12 +93,14 @@ def _gl_quad(fn, edges: np.ndarray, n_nodes: int = 16) -> complex:
     return complex(np.sum(weights * values))
 
 
+@cache
 def eta_self_time_domain(bath: OhmicBath, width: float) -> complex:
     """Ordered double integral over one cell: Int_0^L (L - tau) gamma(tau) dtau."""
     edges = _graded_edges(0.0, width, [0.0, width])
     return _gl_quad(lambda tau: (width - tau) * analytic_gamma(bath, tau), edges)
 
 
+@cache
 def eta_pair_time_domain(bath: OhmicBath, dt: float, dk: int, kind: str) -> complex:
     """Double cell integral of gamma reduced against the overlap kernel."""
     late, early = _cells(dt, dk, kind)

@@ -133,7 +133,7 @@ def test_criterion_8_quadrature_cross_check(paper_bath):
         details.append(f"dk={dk}: {rel:.2e}")
     report(8, "quadrature cross-check",
            worst < 1e-6,
-           f"frequency-domain vs time-domain coefficients: {'; '.join(details)} (tol 1e-6)")
+           f"closed-form vs time-domain coefficients: {'; '.join(details)} (tol 1e-6)")
 
 
 def test_criterion_9_scaling_law(paper_qubit, paper_bath, paper_trajectory,

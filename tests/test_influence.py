@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from jcqsim import HBAR, NumericalError, OhmicBath, eta_coefficients
+from jcqsim import HBAR, OhmicBath, eta_coefficients
 from jcqsim.influence import (COUPLING_WEIGHT, ENDPOINT, INTERIOR, pair_class,
                               pair_factor_table, self_factor_table)
 from oracles import (eta_pair_time_domain, eta_pair_trapezoid_2d,
@@ -28,26 +28,17 @@ def test_zero_coupling_gives_zero_table():
 
 
 def test_validation(paper_bath):
-    with pytest.raises(ValueError):
-        eta_coefficients(paper_bath, -1.0, 4, 2)
+    for dt in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            eta_coefficients(paper_bath, dt, 4, 2)
     with pytest.raises(ValueError):
         eta_coefficients(paper_bath, DT, 4, 5)
     with pytest.raises(ValueError):
         eta_coefficients(paper_bath, DT, 4, 0)
 
 
-def test_residual_gate(paper_bath, monkeypatch):
-    import jcqsim.influence as influence
-
-    eta_coefficients(paper_bath, DT, 16, 16)  # within budget at the paper point
-    monkeypatch.setattr(influence, "_ETA_RTOL", 0.0)
-    with pytest.raises(NumericalError) as info:
-        eta_coefficients(paper_bath, DT, 4, 4)
-    assert info.value.residual > 0.0
-
-
 def test_entries_independent_of_dk_max(paper_bath):
-    # the pair grid is set by dk_max; entries it shares must not move
+    # each entry is a difference of Q at its own times; dk_max must not move it
     wide = eta_coefficients(paper_bath, DT, 16, 16)
     narrow = eta_coefficients(paper_bath, DT, 16, 4)
     pairs = ("eta_pair_interior", "eta_pair_end_interior", "eta_pair_end_end")
@@ -111,6 +102,17 @@ class TestTimeDomainOracles:
     def test_pair_classes(self, paper_bath, table, dk, kind):
         ref = eta_pair_time_domain(paper_bath, DT, dk, kind)
         assert abs(table.eta_pair(dk, kind) - ref) / abs(ref) < 1e-6
+
+    def test_small_step_hot_bath(self):
+        # short cells make the second differences of Q cancel the most
+        bath, dt = OhmicBath(alpha=5e-6, omega_c=5.0, temperature=300.0), 0.397
+        small = eta_coefficients(bath, dt, 5, 5)
+        pairs = [(small.eta_pair(dk, kind), eta_pair_time_domain(bath, dt, dk, kind))
+                 for dk in (1, 5) for kind in ("ii", "ei", "ee")]
+        for value, ref in [(small.eta_self_interior, eta_self_time_domain(bath, dt)),
+                           (small.eta_self_end, eta_self_time_domain(bath, 0.5 * dt)),
+                           *pairs]:
+            assert abs(value - ref) / abs(ref) < 1e-6
 
 
 def pair_index(s_plus, s_minus):

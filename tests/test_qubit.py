@@ -20,6 +20,14 @@ def test_parameter_validation():
         QubitParameters(e_j=51.8, e_c=-1.0, n_g=0.5)
 
 
+@pytest.mark.parametrize("field", ["e_j", "e_c", "n_g"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_parameters_nonfinite_rejected(field, value):
+    params = {"e_j": 51.8, "e_c": 122.0, "n_g": 0.5, field: value}
+    with pytest.raises(ValueError, match="finite"):
+        QubitParameters(**params)
+
+
 def test_hamiltonian_at_sweet_spot():
     h = hamiltonian(QubitParameters(e_j=51.8, e_c=122.0, n_g=0.5))
     np.testing.assert_allclose(h, -25.9 * SIGMA_X, atol=1e-14)
