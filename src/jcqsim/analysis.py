@@ -150,6 +150,11 @@ def fit_decay(trajectory: Trajectory, observable: str = "abs_rho01") -> DecayFit
                     rms_residual=rms, observable=observable, envelope=envelope)
 
 
+def step_count(t_max: float, dt: float) -> int:
+    """Whole steps of dt that fit in t_max, at least one."""
+    return max(1, int(np.floor(t_max / dt + 1e-9)))
+
+
 def compare(params: QubitParameters, bath: OhmicBath, dt: float, dk_max: int,
             t_max: float, sample_every: int = 64, initial: str = "zero",
             observable: str = "im_rho01", include_cutoff: bool = True) -> ComparisonReport:
@@ -159,7 +164,7 @@ def compare(params: QubitParameters, bath: OhmicBath, dt: float, dk_max: int,
     whose off-diagonal element shows the dephasing envelope directly) and
     fits the requested observable.
     """
-    n_steps = max(1, int(np.floor(t_max / dt + 1e-9)))
+    n_steps = step_count(t_max, dt)
     _, tau2_bloch = bloch_decoherence_time(params, bath, include_cutoff=include_cutoff)
     table = eta_coefficients(bath, dt, n_steps, dk_max)
     propagator = short_time_propagator(params, dt)

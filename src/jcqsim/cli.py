@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .analysis import FIT_OBSERVABLES, bloch_decoherence_time, compare
+from .analysis import FIT_OBSERVABLES, bloch_decoherence_time, compare, step_count
 from .bath import OhmicBath, response_function
 from .errors import ConfigError, NumericalError, SimulationError
 from .influence import dump_eta_csv, eta_coefficients
@@ -70,15 +70,12 @@ class RunConfig:
 
     @property
     def bath(self) -> OhmicBath:
-        try:
-            return OhmicBath(alpha=self.alpha, omega_c=self.omega_c_per_ps,
-                             temperature=self.temperature_mK)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return OhmicBath(alpha=self.alpha, omega_c=self.omega_c_per_ps,
+                         temperature=self.temperature_mK)
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(np.floor(self.t_max_ps / self.dt_ps + 1e-9)))
+        return step_count(self.t_max_ps, self.dt_ps)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -129,15 +126,15 @@ def build_config(args) -> RunConfig:
 
 
 def fmt(value) -> str:
-    """Deterministic 12-significant-digit decimal rendering."""
+    """Deterministic 12-significant-digit decimal rendering; str and bool as str()."""
+    if isinstance(value, (str, bool)):
+        return str(value)
     return format(float(value), ".12g")
 
 
 def echo_config(config: RunConfig, stream) -> None:
     for f in fields(RunConfig):
-        value = getattr(config, f.name)
-        rendered = fmt(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else str(value)
-        stream.write(f"{f.name} = {rendered}\n")
+        stream.write(f"{f.name} = {fmt(getattr(config, f.name))}\n")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -205,12 +202,8 @@ def cmd_compare(config: RunConfig, include_cutoff: bool, out) -> int:
     out.write(f"ratio = {fmt(report.ratio)}\n")
     if config.output:
         header = [*report.parameters.keys(), "tau2_bloch_us", "tau2_itm_us", "ratio"]
-        row = [*(report.parameters[k] for k in report.parameters),
-               report.tau2_bloch, report.tau2_itm, report.ratio]
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            fh.write(",".join(str(v) if isinstance(v, (str, bool)) else fmt(v)
-                              for v in row) + "\n")
+        row = [*report.parameters.values(), report.tau2_bloch, report.tau2_itm, report.ratio]
+        _write_csv(config.output, header, [row])
         out.write(f"wrote report row to {config.output}\n")
     return EXIT_OK
 

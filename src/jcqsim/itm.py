@@ -1,49 +1,61 @@
 """Iterative tensor multiplication of the reduced density matrix.
 
-The propagated object is a window tensor over the last M+1 time points
-(M = dk_max, the memory truncation), stored oldest-first. Step n -> n+1
-folds the oldest point out once the window holds M+1 points and multiplies
-in ``_step_factor(n)``: the bare propagator pair tensor, the departing
+The propagated object is a window tensor over consecutive time points,
+stored flat, row-major, oldest point first. Step n -> n+1 multiplies in
+``_step_factor(n)``: the bare propagator pair tensor, the departing
 point's self factor and all pair factors that end at the new point. Each
 point's self factor is applied exactly once, when the point stops being
 the newest; each pair factor is applied once, when its later point is
-added.
+added. The factor builders return (rows, 4) arrays: the row indexes the
+older points, the column the newest.
 
 Reading out a density matrix at step n multiplies the window by
 ``_readout_factor(n)`` non-destructively: the terminal point's self factor
 with the endpoint coefficient, and for every in-window pair ending at n
 the ratio between its terminal-class and applied-class coefficients.
-Keeping M+1 points (one more than the memory span) makes every such pair
-available, so the iteration with dk_max = N reproduces the exact path sum
-identically.
+Keeping M+1 points (M = dk_max, one more than the memory span) makes
+every such pair available, so the iteration with dk_max = N reproduces
+the exact path sum identically.
 
-The first time point uses endpoint-class coefficients. From step n = M on
-no factor touches it, so the step factor at n = M is the steady step
-tensor (``TransferTensor.step``) and the readout factor at n = M + 1 the
-steady readout correction. The first M steps, the ramp, are taken here
-one at a time.
+Up to step M, the ramp, the window grows by one point a step. From step M
+on the oldest point is folded out (summed) after each step, leaving the
+folded window f, q = 4^M entries over the M newest points. The first time
+point uses endpoint-class coefficients and from step n = M on no factor
+touches it, so the step factor at n = M is the steady step tensor g
+(``TransferTensor.step``, shape (q, 4)) and the readout factor at
+n = M + 1 the steady readout correction c.
 
-After the ramp every step is the same linear map A on the folded window
-(the M newest points, 4^M entries): ``TransferTensor.dense().T``. The
-steady phase therefore jumps from one sample step to the next, L steps at
-a time, with precomputed A^L and readout R A^(L-1). Before each jump, the
-certificate max_{k<L} |A^k| bounds every window entry the skipped steps
-would have produced; only if that bound stays below ``guard`` is the block
-jumped, otherwise it is stepped and the guard is checked at each step. A
-cost model in the window size and block length steps the blocks where
-stepping is cheaper. See ``_kernels.evolve_window``.
+After the ramp every step is the same linear map A on f,
+e[j, y] = f[j] g[j, y] folded again: the transpose of
+``TransferTensor.dense()``; the readout after the step is R f with
+R[y, j] = g[j, y] c[j, y]. The run is cut into blocks between
+consecutive sample steps. A block that starts in the ramp is stepped; a
+steady block, L steps long, may jump: f <- A^L f, with the sample
+(R A^(L-1)) f. The powers are built by pushing the q x q identity through
+L steps of ``window_step`` (4 q^2 work a step, no q^3 products), with the
+certificate B_L = max_{0 <= k < L} |A^k| taken entrywise. Since
+|A^k f| <= B_L |f|, a block whose bound (B_L |f|)[j] max_y |g[j, y]| stays
+below the guard cannot trip it at any of its steps. A block whose bound
+does not hold, or whose powers are not finite, is stepped one step at a
+time, so the guard trips at the same step as a per-step run would.
+
+Jumping pays only where the products, and building them, cost less than
+the steps they replace. ``_jump_pays`` prices both with a cost model in q,
+the block length L and the number of blocks of that length. It steps every
+block at M >= 5, blocks of up to 3 steps at M = 4, single steps at M = 3,
+and a steady block whose length occurs only once.
 
 Window tensors have 4^(M+1) entries, so the memory span is capped at
 ``SPAN_CAP``, the same bound as the path length of the path sum.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import evolve_window, path_sum, window_step
 from .errors import CapacityError, ConfigError, InstabilityError
-from .influence import (ENDPOINT, INTERIOR, EtaTable, pair_factor_table,
+from .influence import (ENDPOINT, INTERIOR, EtaTable, pair_class, pair_factor_table,
                         self_factor_table)
 from .qubit import PropagatorK, QubitParameters, short_time_propagator, validate_density_matrix
 
@@ -53,6 +65,40 @@ DEFAULT_GUARD = 4.0
 # the path sum: a window tensor holds 4^(M + 1) entries, and the path sum
 # enumerates 4^(N + 1) paths.
 SPAN_CAP = 10
+
+# A certified block's bound must sit this far below the guard, relative,
+# to absorb the rounding difference between the jump and the steps.
+CERTIFICATE_MARGIN = 1e-12
+
+# Cost model of a block of L steps on a q-entry folded window, in seconds
+# on one BLAS thread. Each numpy round trip costs CALL_OVERHEAD. Building
+# the powers costs BUILD_PER_ENTRY per matrix entry for each of the L
+# steps, once per block length; one jump costs JUMP_PER_ENTRY per entry of
+# the q x q matrices; one plain step costs STEP_PER_ENTRY per window entry.
+# Above JUMP_MAX_WINDOW entries every block is stepped: the matrices no
+# longer fit in cache, and the build needs several q x q temporaries
+# (16 MB each at q = 4^5).
+CALL_OVERHEAD = 8e-6
+BUILD_PER_ENTRY = 6e-9
+JUMP_PER_ENTRY = 5e-10
+STEP_PER_ENTRY = 2e-8
+JUMP_MAX_WINDOW = 4 ** 4
+
+
+def backend_name() -> str:
+    return "numpy"
+
+
+def window_step(f, g2d):
+    """One fold-and-multiply step on folded windows stored as the columns of f.
+
+    Entry 4r + y of the result sums f[a q/4 + r] g[a q/4 + r, y] over the
+    departing point a: one (4 x 4) @ (4 x columns) product for each r.
+    """
+    q = g2d.shape[0]
+    g_rya = g2d.reshape(4, q // 4, 4).transpose(1, 2, 0)
+    f_rac = f.reshape(4, q // 4, -1).transpose(1, 0, 2)
+    return np.matmul(g_rya, f_rac).reshape(f.shape)
 
 
 @dataclass(frozen=True)
@@ -137,7 +183,7 @@ def _step_factor(n: int, k_tensor: np.ndarray, table: EtaTable) -> np.ndarray:
         kind = "ei" if earlier == 0 else "ii"
         fac = fac * _on_axes(pair_factor_table(table.eta_pair(dk, kind)),
                              (earlier - lo, width - 1), width)
-    return fac
+    return fac.reshape(-1, 4)
 
 
 def _readout_factor(n: int, table: EtaTable) -> np.ndarray:
@@ -152,7 +198,7 @@ def _readout_factor(n: int, table: EtaTable) -> np.ndarray:
         terminal = table.eta_pair(dk, "ee" if earlier == 0 else "ei")
         c = c * _on_axes(pair_factor_table(terminal - applied),
                          (earlier - lo, width - 1), width)
-    return c
+    return c.reshape(-1, 4)
 
 
 def build_transfer_tensor(propagator: PropagatorK, table: EtaTable) -> TransferTensor:
@@ -164,7 +210,92 @@ def build_transfer_tensor(propagator: PropagatorK, table: EtaTable) -> TransferT
     if m > SPAN_CAP:
         raise CapacityError(f"memory span capped at dk_max = {SPAN_CAP}, got {m}")
     return TransferTensor(dk_max=m, k_tensor=propagator.tensor,
-                          step=_step_factor(m, propagator.tensor, table).reshape(4 ** m, 4))
+                          step=_step_factor(m, propagator.tensor, table))
+
+
+def _jump_pays(length, q, count):
+    """Whether ``count`` blocks of ``length`` steps are cheaper jumped than stepped."""
+    if q > JUMP_MAX_WINDOW:
+        return False
+    build = length * (CALL_OVERHEAD + q * q * BUILD_PER_ENTRY)
+    jump = build + count * (CALL_OVERHEAD + q * q * JUMP_PER_ENTRY)
+    step = count * length * (CALL_OVERHEAD + q * STEP_PER_ENTRY)
+    return jump < step
+
+
+def _jump_blocks(g2d, c2d, lengths):
+    """Per block length L: the stacked jump [R A^(L-1); A^L] and the bound max_y|g| B_L.
+
+    One pass pushes the identity through max(lengths) steps and snapshots
+    each length on the way. Lengths whose matrices are not finite are left
+    out, so their blocks are stepped.
+    """
+    if not lengths:
+        return {}
+    q = g2d.shape[0]
+    readout = (g2d * c2d).T
+    g_max = np.abs(g2d).max(axis=1)[:, None]
+    power = np.eye(q, dtype=np.complex128)
+    bound = np.eye(q)
+    blocks = {}
+    with np.errstate(all="ignore"):
+        for k in range(1, max(lengths) + 1):
+            before = power
+            power = window_step(power, g2d)
+            if k in lengths:
+                jump = np.vstack([readout @ before, power])
+                scaled = g_max * bound
+                if np.isfinite(jump).all() and np.isfinite(scaled).all():
+                    blocks[k] = jump, scaled
+            np.maximum(bound, np.abs(power), out=bound)
+    return blocks
+
+
+def _step_block(f, transfer, table, correction, start, end, guard):
+    """Steps start+1..end one at a time; returns (f, readout at end).
+
+    Ramp steps build their factors at their own width; steady steps use
+    the transfer tensor and the steady ``correction``. Raises
+    InstabilityError at the first step with a window entry above ``guard``.
+    """
+    m = transfer.dk_max
+    for n in range(start + 1, end + 1):
+        e2d = f[:, None] * (transfer.step if n > m else
+                            _step_factor(n - 1, transfer.k_tensor, table))
+        if np.abs(e2d).max() > guard:
+            raise InstabilityError(f"window tensor exceeded guard {guard} at step {n}", step=n)
+        f = e2d.reshape(4, -1).sum(axis=0) if n >= m else e2d.ravel()
+    return f, (e2d * (correction if end > m else _readout_factor(end, table))).sum(axis=0)
+
+
+def evolve_window(rho0v, transfer, table, sample_steps, guard):
+    """Iterate the window from the initial 4-vector ``rho0v`` at step 0.
+
+    Returns the corrected 4-vector readouts at ``sample_steps`` (sorted,
+    all > 0), one row each. Blocks between consecutive samples that start
+    at or after step M may be jumped; all others are stepped.
+    """
+    m = transfer.dk_max
+    starts = [0, *sample_steps[:-1]]
+    counts = Counter(end - start for start, end in zip(starts, sample_steps) if start >= m)
+    correction = _readout_factor(m + 1, table) if sample_steps[-1] > m else None
+    blocks = _jump_blocks(transfer.step, correction,
+                          {length for length, count in counts.items()
+                           if _jump_pays(length, 4 ** m, count)})
+    limit = guard * (1.0 - CERTIFICATE_MARGIN)
+
+    f = rho0v
+    samples = np.zeros((len(sample_steps), 4), dtype=np.complex128)
+    for i, (start, end) in enumerate(zip(starts, sample_steps)):
+        block = blocks.get(end - start) if start >= m else None
+        if block is not None:
+            jump, scaled = block
+            if (scaled @ np.abs(f)).max() <= limit:
+                out = jump @ f
+                samples[i], f = out[:4], out[4:]
+                continue
+        f, samples[i] = _step_block(f, transfer, table, correction, start, end, guard)
+    return samples
 
 
 def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
@@ -184,59 +315,54 @@ def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
         raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
     rho0 = validate_density_matrix(rho0)
 
-    m = table.dk_max
-    sample_steps = sorted(set(range(sample_every, n_steps + 1, sample_every)) | {n_steps})
-    times = [0.0]
-    rhos = [rho0.copy()]
-
-    state = rho0.reshape(4).copy()
-    ramp_end = min(n_steps, max(1, m))
-    for n in range(ramp_end):
-        if state.ndim == m + 1:
-            state = state.sum(axis=0)
-        state = state[..., None] * _step_factor(n, transfer.k_tensor, table)
-        if np.abs(state).max() > guard:
-            raise InstabilityError(f"window tensor exceeded guard {guard} at step {n + 1}",
-                                   step=n + 1)
-        if n + 1 in sample_steps:
-            times.append((n + 1) * table.dt)
-            readout = state * _readout_factor(n + 1, table)
-            rhos.append(readout.reshape(-1, 4).sum(axis=0).reshape(2, 2))
-
-    if n_steps > ramp_end:
-        remaining = np.array([s for s in sample_steps if s > ramp_end], dtype=np.int64)
-        correction = _readout_factor(m + 1, table)
-        samples, bad_step = evolve_window(state.ravel(), transfer.step.ravel(),
-                                          correction.ravel(), ramp_end, n_steps,
-                                          remaining, guard=guard)
-        if bad_step >= 0:
-            raise InstabilityError(f"window tensor exceeded guard {guard} at step {bad_step}",
-                                   step=int(bad_step))
-        for step, vec in zip(remaining, samples):
-            times.append(step * table.dt)
-            rhos.append(vec.reshape(2, 2))
-
-    return Trajectory(times=np.array(times), rhos=np.array(rhos))
+    steps = [*range(sample_every, n_steps, sample_every), n_steps]
+    samples = evolve_window(rho0.reshape(4), transfer, table, steps, guard=guard)
+    return Trajectory(times=np.array([0, *steps]) * table.dt,
+                      rhos=np.concatenate([rho0.reshape(1, 4), samples]).reshape(-1, 2, 2))
 
 
 def brute_force_path_sum(rho0: np.ndarray, params: QubitParameters, table: EtaTable,
                          n_steps: int) -> np.ndarray:
     """Exact enumeration of all forward/backward paths; the ITM oracle.
 
-    Cost grows as 4^(N+1); capped at N = ``SPAN_CAP``.
+    Each path's weight is its initial density-matrix entry times the bare
+    propagator chain times every self and pair influence factor, with the
+    pair's coefficient class from ``influence.pair_class``. The 4^(N+1)
+    paths are enumerated in chunks of 2^18; capped at N = ``SPAN_CAP``.
     """
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
     if n_steps > SPAN_CAP:
         raise CapacityError(f"path enumeration capped at n_steps = {SPAN_CAP}, got {n_steps}")
-    rho0 = validate_density_matrix(rho0)
-    propagator = short_time_propagator(params, table.dt)
-    span = min(n_steps, table.dk_max)
+    rho0v = validate_density_matrix(rho0).reshape(4)
+    k_tensor = short_time_propagator(params, table.dt).tensor
+    self_end = self_factor_table(table.eta_self(ENDPOINT))
+    self_int = self_factor_table(table.eta_self(INTERIOR))
+    n = n_steps
+    span = min(n, table.dk_max)
     pair_tables = {kind: np.array([pair_factor_table(table.eta_pair(dk, kind))
                                    for dk in range(1, span + 1)])
                    for kind in ("ii", "ei", "ee")}
-    vec = path_sum(rho0.reshape(4), propagator.tensor,
-                   self_factor_table(table.eta_self(ENDPOINT)),
-                   self_factor_table(table.eta_self(INTERIOR)),
-                   pair_tables, n_steps, span)
-    return vec.reshape(2, 2)
+    total = 4 ** (n + 1)
+    out = np.zeros(4, dtype=np.complex128)
+    chunk = 1 << 18
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = np.empty((n + 1, idx.size), dtype=np.int64)
+        rem = idx
+        for k in range(n + 1):
+            digits[k] = rem & 3
+            rem = rem >> 2
+        w = rho0v[digits[0]].copy()
+        for k in range(n):
+            w *= k_tensor[digits[k], digits[k + 1]]
+        w *= self_end[digits[0]] * self_end[digits[n]]
+        for k in range(1, n):
+            w *= self_int[digits[k]]
+        for dk in range(1, span + 1):
+            for e in range(0, n - dk + 1):
+                late = e + dk
+                w *= pair_tables[pair_class(e, late, n)][dk - 1, digits[e], digits[late]]
+        out += (np.bincount(digits[n], weights=w.real, minlength=4)
+                + 1j * np.bincount(digits[n], weights=w.imag, minlength=4))
+    return out.reshape(2, 2)

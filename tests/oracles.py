@@ -14,16 +14,22 @@ from functools import cache
 import mpmath as mp
 import numpy as np
 
+from jcqsim import itm
 from jcqsim.bath import OhmicBath
+from jcqsim.errors import InstabilityError
 from jcqsim.units import HBAR
 
 
-def analytic_gamma(bath: OhmicBath, t: float) -> complex:
-    """Closed form of the response function via the complex trigamma function."""
+def analytic_gamma(bath: OhmicBath, t: float, ctx=mp) -> complex:
+    """Closed form of the response function via the complex trigamma function.
+
+    ``ctx`` is the mpmath context of the trigamma: ``mp`` by default, or
+    ``mp.fp`` for double precision where many thousands of values are needed.
+    """
     a = 1.0 / bath.omega_c
     b = 0.5 * bath.beta * HBAR
     z = a - 1j * t
-    val = 1.0 / z**2 + complex(mp.polygamma(1, 1.0 + z / (2.0 * b))) / (2.0 * b * b)
+    val = 1.0 / z**2 + complex(ctx.polygamma(1, 1.0 + z / (2.0 * b))) / (2.0 * b * b)
     re = 2.0 * HBAR * bath.alpha * val.real
     im = -4.0 * HBAR * bath.alpha * a * t / (a * a + t * t) ** 2
     return complex(re, im)
@@ -119,7 +125,8 @@ def eta_pair_trapezoid_2d(bath: OhmicBath, dt: float, dk: int, n_grid: int = 200
     """Literal 2-D tensor trapezoid over two interior cells at separation dk.
 
     Uses the translation invariance of gamma to collapse the n x n weight
-    matrix onto the 2n - 1 distinct time differences.
+    matrix onto the 2n - 1 distinct time differences. gamma is evaluated in
+    double precision: the grid's own error is many orders larger.
     """
     late, early = _cells(dt, dk, "ii")
     grid_late = np.linspace(late[0], late[1], n_grid)
@@ -130,7 +137,7 @@ def eta_pair_trapezoid_2d(bath: OhmicBath, dt: float, dk: int, n_grid: int = 200
     # weight of difference index m = i - j + (n-1): sum_i w_i w_{i-m'}
     collapsed = np.convolve(w1d, w1d)
     taus = (grid_late[0] - grid_early[-1]) + h * np.arange(2 * n_grid - 1)
-    gammas = np.array([analytic_gamma(bath, tau) for tau in taus])
+    gammas = np.array([analytic_gamma(bath, tau, mp.fp) for tau in taus])
     return complex(np.sum(collapsed * gammas))
 
 
@@ -154,30 +161,33 @@ def monolithic_influence(path_plus, path_minus, table) -> complex:
     return np.exp(-g2 / HBAR * phase)
 
 
-def per_step_evolve_window(e_flat, g_flat, c_flat, n_start, n_steps, sample_steps,
-                           guard=4.0, peak=None):
-    """Steady window iteration one step at a time, as a drop-in for evolve_window.
+def per_step_evolve_window(rho0v, transfer, table, sample_steps, guard=4.0, peak=None):
+    """Window iteration one step at a time from step 0, as a drop-in for evolve_window.
 
-    Each step folds out the oldest point, multiplies in the step tensor,
-    checks every entry against ``guard`` and reads out at sample steps. If
-    ``peak`` is a list, the largest entry magnitude seen is appended to it.
+    Each step folds out the oldest point once the window holds M + 1
+    points, multiplies in the step factor, checks every entry against
+    ``guard`` and reads out at sample steps. If ``peak`` is a list, the
+    largest entry magnitude seen is appended to it.
     """
-    q = np.size(g_flat) // 4
-    g2d = np.reshape(g_flat, (q, 4))
-    c2d = np.reshape(c_flat, (q, 4))
-    state = np.array(e_flat, dtype=complex)
+    m = transfer.dk_max
+    state = np.array(rho0v, dtype=complex)
     samples = np.zeros((len(sample_steps), 4), dtype=complex)
-    largest, si, bad_step = 0.0, 0, -1
-    for n in range(n_start + 1, n_steps + 1):
-        e2d = state.reshape(4, q).sum(axis=0)[:, None] * g2d
-        largest = max(largest, np.abs(e2d).max())
-        if np.abs(e2d).max() > guard:
-            bad_step = n
-            break
-        state = e2d.reshape(-1)
-        if si < len(sample_steps) and n == sample_steps[si]:
-            samples[si] = (e2d * c2d).sum(axis=0)
+    largest, si = 0.0, 0
+    for n in range(1, sample_steps[-1] + 1):
+        if n > m:
+            state = state.reshape(4, -1).sum(axis=0)
+            g2d = transfer.step
+        else:
+            g2d = itm._step_factor(n - 1, transfer.k_tensor, table)
+        e2d = state[:, None] * g2d
+        top = np.abs(e2d).max()
+        largest = max(largest, top)
+        if top > guard:
+            raise InstabilityError(f"window tensor exceeded guard {guard} at step {n}", step=n)
+        state = e2d.ravel()
+        if n == sample_steps[si]:
+            samples[si] = (e2d * itm._readout_factor(min(n, m + 1), table)).sum(axis=0)
             si += 1
     if peak is not None:
         peak.append(largest)
-    return samples, bad_step
+    return samples

@@ -1,4 +1,4 @@
-"""The steady window kernel against a per-step reference."""
+"""The window kernel, ramp and steady blocks, against a per-step reference."""
 
 import functools
 import warnings
@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jcqsim import _kernels, itm
+from jcqsim import itm
 from jcqsim import (InstabilityError, build_transfer_tensor, eta_coefficients,
                     initial_state, propagate, short_time_propagator)
 from jcqsim.influence import EtaTable
@@ -30,21 +30,22 @@ def steady(paper_bath, paper_qubit):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Block lengths the kernel built jumps for, and the lengths of blocks it stepped."""
+    """Block lengths the kernel built jumps for, and the lengths of steady blocks it stepped."""
     built, stepped = [], []
-    build, step = _kernels._jump_blocks, _kernels._step_block
+    build, step = itm._jump_blocks, itm._step_block
 
     def spy_build(g2d, c2d, lengths):
         blocks = build(g2d, c2d, lengths)
         built.extend(blocks)
         return blocks
 
-    def spy_step(f, g2d, c2d, start, end, guard):
-        stepped.append(end - start)
-        return step(f, g2d, c2d, start, end, guard)
+    def spy_step(f, transfer, table, correction, start, end, guard):
+        if start >= transfer.dk_max:
+            stepped.append(end - start)
+        return step(f, transfer, table, correction, start, end, guard)
 
-    monkeypatch.setattr(_kernels, "_jump_blocks", spy_build)
-    monkeypatch.setattr(_kernels, "_step_block", spy_step)
+    monkeypatch.setattr(itm, "_jump_blocks", spy_build)
+    monkeypatch.setattr(itm, "_step_block", spy_step)
     return built, stepped
 
 
@@ -78,7 +79,7 @@ def amplifying_table(dk_max, eta_self_interior):
 
 
 def test_backend_name():
-    assert _kernels.backend_name() == "numpy"
+    assert itm.backend_name() == "numpy"
 
 
 @pytest.mark.parametrize("every", [1, 7, 64])
@@ -104,9 +105,8 @@ def test_failed_certificate_steps_block(monkeypatch, routes, steady, dk_max):
     peak = []
     per_step_evolve_window(*args, peak=peak)
     guard = peak[0] * (1 + 1e-9)
-    expected, expected_bad = per_step_evolve_window(*args, guard=guard)
-    samples, bad_step = _kernels.evolve_window(*args, guard=guard)
-    assert bad_step == expected_bad == -1
+    expected = per_step_evolve_window(*args, guard=guard)
+    samples = itm.evolve_window(*args, guard=guard)
     assert np.abs(samples - expected).max() <= 1e-11
     built, stepped = routes
     assert 64 in built and 64 in stepped
@@ -118,12 +118,11 @@ def test_certificate_decides_per_block(monkeypatch, routes, steady):
     peak = []
     per_step_evolve_window(*args, peak=peak)
     guard = 2.0 * peak[0]
-    expected, _ = per_step_evolve_window(*args, guard=guard)
-    samples, bad_step = _kernels.evolve_window(*args, guard=guard)
-    assert bad_step == -1
+    expected = per_step_evolve_window(*args, guard=guard)
+    samples = itm.evolve_window(*args, guard=guard)
     assert np.abs(samples - expected).max() <= 1e-11
     _, stepped = routes
-    full_blocks = N_STEPS // 64 - 1  # the first and the last block are shorter
+    full_blocks = N_STEPS // 64 - 1  # the first block starts in the ramp, the last is shorter
     assert 0 < stepped.count(64) < full_blocks
 
 
@@ -133,9 +132,11 @@ def test_guard_just_below_peak_trips_at_reference_step(monkeypatch, steady, dk_m
     peak = []
     per_step_evolve_window(*args, peak=peak)
     guard = peak[0] * (1 - 1e-9)
-    _, expected_bad = per_step_evolve_window(*args, guard=guard)
-    _, bad_step = _kernels.evolve_window(*args, guard=guard)
-    assert bad_step == expected_bad > 0
+    with pytest.raises(InstabilityError) as expected:
+        per_step_evolve_window(*args, guard=guard)
+    with pytest.raises(InstabilityError) as got:
+        itm.evolve_window(*args, guard=guard)
+    assert got.value.step == expected.value.step > 0
 
 
 @pytest.mark.parametrize("every", [7, 64])
@@ -161,4 +162,4 @@ def test_non_finite_powers_are_stepped(paper_qubit):
     correction = np.ones_like(transfer.step)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _kernels._jump_blocks(transfer.step, correction, {1, 100}).keys() == {1}
+        assert itm._jump_blocks(transfer.step, correction, {1, 100}).keys() == {1}
