@@ -254,18 +254,30 @@ def _jump_blocks(g2d, c2d, lengths):
 def _step_block(f, transfer, table, correction, start, end, guard):
     """Steps start+1..end one at a time; returns (f, readout at end).
 
-    Ramp steps build their factors at their own width; steady steps use
-    the transfer tensor and the steady ``correction``. Raises
-    InstabilityError at the first step with a window entry above ``guard``.
+    Ramp steps build their factors at their own width and multiply into
+    them; steady steps use the transfer tensor and the steady
+    ``correction``. Each window is folded when the next step needs it, and
+    the last one after its readout, so the folded copy never sits beside
+    the readout product. Raises InstabilityError at the first step with a
+    window entry above ``guard``.
     """
     m = transfer.dk_max
     for n in range(start + 1, end + 1):
-        e2d = f[:, None] * (transfer.step if n > m else
-                            _step_factor(n - 1, transfer.k_tensor, table))
+        if n > start + 1:
+            f = e2d.reshape(4, -1).sum(axis=0) if n > m else e2d.ravel()
+        if n > m:
+            e2d = f[:, None] * transfer.step
+        else:
+            g2d = _step_factor(n - 1, transfer.k_tensor, table)
+            e2d = np.multiply(f[:, None], g2d, out=g2d)
         if np.abs(e2d).max() > guard:
             raise InstabilityError(f"window tensor exceeded guard {guard} at step {n}", step=n)
-        f = e2d.reshape(4, -1).sum(axis=0) if n >= m else e2d.ravel()
-    return f, (e2d * (correction if end > m else _readout_factor(end, table))).sum(axis=0)
+    if end > m:
+        readout = (e2d * correction).sum(axis=0)
+    else:
+        c2d = _readout_factor(end, table)
+        readout = np.multiply(e2d, c2d, out=c2d).sum(axis=0)
+    return (e2d.reshape(4, -1).sum(axis=0) if end >= m else e2d.ravel()), readout
 
 
 def evolve_window(rho0v, transfer, table, sample_steps, guard):

@@ -167,7 +167,8 @@ def per_step_evolve_window(rho0v, transfer, table, sample_steps, guard=4.0, peak
     Each step folds out the oldest point once the window holds M + 1
     points, multiplies in the step factor, checks every entry against
     ``guard`` and reads out at sample steps. If ``peak`` is a list, the
-    largest entry magnitude seen is appended to it.
+    largest entry magnitude seen after the ramp (steps past M) is appended
+    to it.
     """
     m = transfer.dk_max
     state = np.array(rho0v, dtype=complex)
@@ -181,7 +182,8 @@ def per_step_evolve_window(rho0v, transfer, table, sample_steps, guard=4.0, peak
             g2d = itm._step_factor(n - 1, transfer.k_tensor, table)
         e2d = state[:, None] * g2d
         top = np.abs(e2d).max()
-        largest = max(largest, top)
+        if n > m:
+            largest = max(largest, top)
         if top > guard:
             raise InstabilityError(f"window tensor exceeded guard {guard} at step {n}", step=n)
         state = e2d.ravel()

@@ -1,5 +1,6 @@
 """The window kernel, ramp and steady blocks, against a per-step reference."""
 
+import dataclasses
 import functools
 import warnings
 
@@ -9,11 +10,16 @@ import pytest
 from jcqsim import itm
 from jcqsim import (InstabilityError, build_transfer_tensor, eta_coefficients,
                     initial_state, propagate, short_time_propagator)
-from jcqsim.influence import EtaTable
+from jcqsim.influence import COUPLING_WEIGHT, EtaTable
+from jcqsim.units import HBAR
 from oracles import per_step_evolve_window
 
 DT = 12.707
 N_STEPS = 5003  # a multiple of neither 7 nor 64
+# Growth rate per step of the coherence self factor in the growing runs,
+# and their length: the last block is a full 64-step one.
+GROWTH = 8e-4
+N_GROWING = 78 * 64
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +29,25 @@ def steady(paper_bath, paper_qubit):
     @functools.cache
     def build(dk_max):
         table = eta_coefficients(paper_bath, DT, N_STEPS, dk_max)
+        return build_transfer_tensor(short_time_propagator(paper_qubit, DT), table), table
+
+    return build
+
+
+@pytest.fixture(scope="module")
+def growing(paper_qubit, steady):
+    """(transfer, table) as ``steady`` with coherences that gain GROWTH a step.
+
+    At the paper point the first ramp step holds the largest entry of the
+    run; here the entries grow past it and peak inside the last 64-step
+    block, so a guard at that peak trips in a steady block.
+    """
+
+    @functools.cache
+    def build(dk_max):
+        _, table = steady(dk_max)
+        shift = GROWTH * HBAR / (4 * COUPLING_WEIGHT**2)
+        table = dataclasses.replace(table, eta_self_interior=table.eta_self_interior - shift)
         return build_transfer_tensor(short_time_propagator(paper_qubit, DT), table), table
 
     return build
@@ -55,7 +80,7 @@ def per_step_propagate(monkeypatch, *args, **kwargs):
         return propagate(*args, **kwargs)
 
 
-def kernel_inputs(monkeypatch, transfer, table, sample_every):
+def kernel_inputs(monkeypatch, transfer, table, sample_every, n_steps=N_STEPS):
     """The arguments propagate hands to evolve_window for the zero state."""
     calls = []
 
@@ -65,7 +90,7 @@ def kernel_inputs(monkeypatch, transfer, table, sample_every):
 
     with monkeypatch.context() as patch:
         patch.setattr(itm, "evolve_window", record)
-        propagate(initial_state("zero"), transfer, table, N_STEPS, sample_every=sample_every)
+        propagate(initial_state("zero"), transfer, table, n_steps, sample_every=sample_every)
     return calls[0]
 
 
@@ -100,8 +125,8 @@ def test_jump_route_matches_per_step(monkeypatch, routes, steady, dk_max, every)
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
-def test_failed_certificate_steps_block(monkeypatch, routes, steady, dk_max):
-    args = kernel_inputs(monkeypatch, *steady(dk_max), sample_every=64)
+def test_failed_certificate_steps_block(monkeypatch, routes, growing, dk_max):
+    args = kernel_inputs(monkeypatch, *growing(dk_max), sample_every=64, n_steps=N_GROWING)
     peak = []
     per_step_evolve_window(*args, peak=peak)
     guard = peak[0] * (1 + 1e-9)
@@ -127,8 +152,8 @@ def test_certificate_decides_per_block(monkeypatch, routes, steady):
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
-def test_guard_just_below_peak_trips_at_reference_step(monkeypatch, steady, dk_max):
-    args = kernel_inputs(monkeypatch, *steady(dk_max), sample_every=64)
+def test_guard_just_below_peak_trips_at_reference_step(monkeypatch, growing, dk_max):
+    args = kernel_inputs(monkeypatch, *growing(dk_max), sample_every=64, n_steps=N_GROWING)
     peak = []
     per_step_evolve_window(*args, peak=peak)
     guard = peak[0] * (1 - 1e-9)
@@ -136,7 +161,7 @@ def test_guard_just_below_peak_trips_at_reference_step(monkeypatch, steady, dk_m
         per_step_evolve_window(*args, guard=guard)
     with pytest.raises(InstabilityError) as got:
         itm.evolve_window(*args, guard=guard)
-    assert got.value.step == expected.value.step > 0
+    assert got.value.step == expected.value.step > N_GROWING - 64
 
 
 @pytest.mark.parametrize("every", [7, 64])
