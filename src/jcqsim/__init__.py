@@ -11,8 +11,8 @@ from .bath import (OhmicBath, memory_time, power_spectrum, response_function,
                    response_integral, spectral_density)
 from .errors import (CapacityError, ConfigError, InstabilityError, NoDecayError,
                      NumericalError, SaturationError, SimulationError)
-from .influence import (COUPLING_WEIGHT, EtaTable, dump_eta_csv, eta_coefficients,
-                        pair_factor_table, self_factor_table)
+from .influence import (COUPLING_WEIGHT, EtaTable, eta_coefficients, pair_factor_table,
+                        self_factor_table)
 from .itm import (TransferTensor, Trajectory, backend_name, brute_force_path_sum,
                   build_transfer_tensor, propagate)
 from .qubit import (PropagatorK, QubitParameters, hamiltonian, initial_state,

@@ -18,7 +18,7 @@ import numpy as np
 from .analysis import FIT_OBSERVABLES, bloch_decoherence_time, compare, step_count
 from .bath import OhmicBath, response_function
 from .errors import ConfigError, NumericalError, SimulationError
-from .influence import dump_eta_csv, eta_coefficients
+from .influence import ETA_COLUMNS, eta_coefficients
 from .itm import brute_force_path_sum, build_transfer_tensor, propagate
 from .qubit import QubitParameters, initial_state, short_time_propagator
 
@@ -167,7 +167,7 @@ def cmd_evolve(config: RunConfig, out, dump_eta: str | None = None) -> int:
     table = eta_coefficients(config.bath, config.dt_ps, config.n_steps, config.dk_max)
     transfer = build_transfer_tensor(short_time_propagator(config.qubit, config.dt_ps), table)
     if dump_eta:
-        dump_eta_csv(table, dump_eta)
+        _write_csv(dump_eta, ETA_COLUMNS, table.rows())
         out.write(f"wrote coefficient table to {dump_eta}\n")
     trajectory = propagate(initial_state(config.initial_state), transfer, table,
                            config.n_steps, sample_every=config.sample_every)

@@ -44,6 +44,8 @@ SPIN_PLUS = np.array([1.0, 1.0, -1.0, -1.0])
 SPIN_MINUS = np.array([1.0, -1.0, 1.0, -1.0])
 
 _PAIR_CLASSES = ("ii", "ei", "ee")
+# columns of ``EtaTable.rows``
+ETA_COLUMNS = ["dk", "class", "re_eta", "im_eta"]
 # (late cell, early cell) of each pair class in units of dt, the late cell
 # relative to the late point and the early cell to the early point
 _PAIR_CELLS = np.array([[(-0.5, 0.5), (-0.5, 0.5)],
@@ -83,6 +85,13 @@ class EtaTable:
             return complex(self.eta_pair_end_end[dk - 1])
         raise ValueError(f"unknown pair class {kind!r}")
 
+    def rows(self) -> list[tuple]:
+        """One row per coefficient, columns ``ETA_COLUMNS``; the self terms at dk 0."""
+        etas = [(0, INTERIOR, self.eta_self_interior), (0, ENDPOINT, self.eta_self_end)]
+        etas += [(dk, kind, self.eta_pair(dk, kind))
+                 for dk in range(1, self.dk_max + 1) for kind in _PAIR_CLASSES]
+        return [(dk, kind, eta.real, eta.imag) for dk, kind, eta in etas]
+
 
 def eta_coefficients(bath: OhmicBath, dt: float, n_steps: int, dk_max: int) -> EtaTable:
     """Build the full coefficient table for a grid of ``n_steps`` steps.
@@ -112,23 +121,6 @@ def eta_coefficients(bath: OhmicBath, dt: float, n_steps: int, dk_max: int) -> E
                     eta_self_end=complex(self_eta[1]),
                     eta_pair_interior=pair[0], eta_pair_end_interior=pair[1],
                     eta_pair_end_end=pair[2])
-
-
-def dump_eta_csv(table: EtaTable, path: str) -> None:
-    """Debug dump: one row per coefficient, columns dk, class, re_eta, im_eta."""
-    def fmt(x):
-        return format(float(x), ".12g")
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("dk,class,re_eta,im_eta\n")
-        fh.write(f"0,{INTERIOR},{fmt(table.eta_self_interior.real)},"
-                 f"{fmt(table.eta_self_interior.imag)}\n")
-        fh.write(f"0,{ENDPOINT},{fmt(table.eta_self_end.real)},"
-                 f"{fmt(table.eta_self_end.imag)}\n")
-        for dk in range(1, table.dk_max + 1):
-            for kind in _PAIR_CLASSES:
-                eta = table.eta_pair(dk, kind)
-                fh.write(f"{dk},{kind},{fmt(eta.real)},{fmt(eta.imag)}\n")
 
 
 def self_factor_table(eta_self: complex) -> np.ndarray:

@@ -29,27 +29,35 @@ After the ramp every step is the same linear map A on f,
 e[j, y] = f[j] g[j, y] folded again: the transpose of
 ``TransferTensor.dense()``; the readout after the step is R f with
 R[y, j] = g[j, y] c[j, y]. The run is cut into blocks between
-consecutive sample steps. A block that starts in the ramp is stepped; a
-steady block, L steps long, may jump: f <- A^L f, with the sample
-(R A^(L-1)) f. The powers are built by pushing the q x q identity through
-L steps of ``window_step`` (4 q^2 work a step, no q^3 products), with the
-certificate B_L = max_{0 <= k < L} |A^k| taken entrywise. Since
-|A^k f| <= B_L |f|, a block whose bound (B_L |f|)[j] max_y |g[j, y]| stays
-below the guard cannot trip it at any of its steps. A block whose bound
-does not hold, or whose powers are not finite, is stepped one step at a
-time, so the guard trips at the same step as a per-step run would.
+consecutive sample steps; a block that starts in the ramp is stepped. A
+steady block of L steps maps its start window f to P f, P = A^L, with
+the sample (R A^(L-1)) f. P is built by pushing the q x q identity through
+L steps of ``window_step``, with the certificate B_L = max_{0 <= k < L}
+|A^k| taken entrywise. Since |A^k f| <= B_L |f|, a block whose bound
+(B_L |f|)[j] max_y |g[j, y]| stays below the guard cannot trip it.
 
-Jumping pays only where the products, and building them, cost less than
-the steps they replace. ``_jump_pays`` prices both with a cost model in q,
-the block length L and the number of blocks of that length. It steps every
-block at M >= 5, blocks of up to 3 steps at M = 4, single steps at M = 3,
-and a steady block whose length occurs only once.
+A run of steady blocks of one length is swept by doubling, the
+transfer-tensor view of Cerrillo and Cao, PRL 112, 110401 (2014): step j
+appends the rows so far times P^(2^j) to the table of start windows
+P^i f, so 2^d blocks take d products; the squared powers are built once
+per length, and two batched products give every block's sample and bound.
+The first block whose bound fails or is not finite is stepped, so the
+guard trips at the same step as a per-step run would; the sweep resumes
+after it, its chunks regrown from the certified prefix. The window after
+a prefix is one jump from its last row: squared powers may overflow where
+the run does not. A chunk of 2^d blocks holds 2^d rows of q entries and d
+powers of q^2, 2^d q^2 <= ``SWEEP_BUDGET``: the whole paper run at q = 4,
+16 blocks at q = 256.
+
+``_jump_pays`` prices sweeping and stepping with a cost model in q, L,
+the number of blocks of that length and the chunks they fill. It steps
+every block at M >= 5, blocks of up to 3 steps at M = 4, and a length
+that occurs only once.
 
 Window tensors have 4^(M+1) entries, so the memory span is capped at
 ``SPAN_CAP``, the same bound as the path length of the path sum.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,19 +78,26 @@ SPAN_CAP = 10
 # to absorb the rounding difference between the jump and the steps.
 CERTIFICATE_MARGIN = 1e-12
 
-# Cost model of a block of L steps on a q-entry folded window, in seconds
-# on one BLAS thread. Each numpy round trip costs CALL_OVERHEAD. Building
-# the powers costs BUILD_PER_ENTRY per matrix entry for each of the L
-# steps, once per block length; one jump costs JUMP_PER_ENTRY per entry of
-# the q x q matrices; one plain step costs STEP_PER_ENTRY per window entry.
-# Above JUMP_MAX_WINDOW entries every block is stepped: the matrices no
-# longer fit in cache, and the build needs several q x q temporaries
-# (16 MB each at q = 4^5).
+# Cost model of a run of blocks of L steps on a q-entry folded window, in
+# seconds on one BLAS thread. Each numpy round trip costs CALL_OVERHEAD.
+# Once per block length, building A^L costs BUILD_PER_ENTRY per matrix
+# entry for each of the L steps, and each squared power SQUARE_PER_ENTRY
+# per multiply-add. A sweep chunk costs its products and CHUNK_CALLS more
+# round trips, and each block JUMP_PER_ENTRY per entry of the q x q
+# matrices; one plain step costs STEP_PER_ENTRY per window entry. Above
+# JUMP_MAX_WINDOW entries every block is stepped: the matrices no longer
+# fit in cache, and the build needs several q x q temporaries (16 MB each
+# at q = 4^5).
 CALL_OVERHEAD = 8e-6
 BUILD_PER_ENTRY = 6e-9
+SQUARE_PER_ENTRY = 1.2e-10
+CHUNK_CALLS = 12
 JUMP_PER_ENTRY = 5e-10
 STEP_PER_ENTRY = 2e-8
 JUMP_MAX_WINDOW = 4 ** 4
+
+# A sweep chunk of 2^d blocks, d >= 1, has 2^d q^2 <= SWEEP_BUDGET.
+SWEEP_BUDGET = 2 ** 20
 
 
 def backend_name() -> str:
@@ -213,18 +228,27 @@ def build_transfer_tensor(propagator: PropagatorK, table: EtaTable) -> TransferT
                           step=_step_factor(m, propagator.tensor, table))
 
 
+def _chunk_blocks(q):
+    """Blocks per sweep chunk: the largest 2^d with 2^d q^2 <= SWEEP_BUDGET, d >= 1."""
+    return 1 << max(1, (SWEEP_BUDGET // (q * q)).bit_length() - 1)
+
+
 def _jump_pays(length, q, count):
-    """Whether ``count`` blocks of ``length`` steps are cheaper jumped than stepped."""
+    """Whether ``count`` steady blocks of ``length`` steps are cheaper swept than stepped."""
     if q > JUMP_MAX_WINDOW:
         return False
-    build = length * (CALL_OVERHEAD + q * q * BUILD_PER_ENTRY)
-    jump = build + count * (CALL_OVERHEAD + q * q * JUMP_PER_ENTRY)
+    chunk = min(count, _chunk_blocks(q))
+    depth = (chunk - 1).bit_length()
+    build = (length * (CALL_OVERHEAD + q * q * BUILD_PER_ENTRY)
+             + max(depth - 1, 0) * (CALL_OVERHEAD + q ** 3 * SQUARE_PER_ENTRY))
+    sweep = (-(-count // chunk) * (depth + CHUNK_CALLS) * CALL_OVERHEAD
+             + count * q * q * JUMP_PER_ENTRY)
     step = count * length * (CALL_OVERHEAD + q * STEP_PER_ENTRY)
-    return jump < step
+    return build + sweep < step
 
 
 def _jump_blocks(g2d, c2d, lengths):
-    """Per block length L: the stacked jump [R A^(L-1); A^L] and the bound max_y|g| B_L.
+    """Per block length L: (R A^(L-1))^T, (max_y|g| B_L)^T and the squared powers [(A^L)^T].
 
     One pass pushes the identity through max(lengths) steps and snapshots
     each length on the way. Lengths whose matrices are not finite are left
@@ -243,12 +267,27 @@ def _jump_blocks(g2d, c2d, lengths):
             before = power
             power = window_step(power, g2d)
             if k in lengths:
-                jump = np.vstack([readout @ before, power])
-                scaled = g_max * bound
-                if np.isfinite(jump).all() and np.isfinite(scaled).all():
-                    blocks[k] = jump, scaled
+                sample, scaled = readout @ before, g_max * bound
+                if all(np.isfinite(a).all() for a in (sample, power, scaled)):
+                    blocks[k] = sample.T, scaled.T, [power.T]
             np.maximum(bound, np.abs(power), out=bound)
     return blocks
+
+
+def _sweep(f, squares, k):
+    """Rows (P^i f)^T for i = 0..k, from the squared powers squares[j] = (P^(2^j))^T.
+
+    Doubling j fills the next rows with the rows so far times squares[j],
+    one product each, so the k + 1 rows take k.bit_length() products.
+    """
+    rows = np.empty((k + 1, f.size), dtype=np.complex128)
+    rows[0] = f
+    width = 1
+    for square in squares[:k.bit_length()]:
+        n = min(width, k + 1 - width)
+        np.matmul(rows[:n], square, out=rows[width:width + n])
+        width += n
+    return rows
 
 
 def _step_block(f, transfer, table, correction, start, end, guard):
@@ -284,29 +323,50 @@ def evolve_window(rho0v, transfer, table, sample_steps, guard):
     """Iterate the window from the initial 4-vector ``rho0v`` at step 0.
 
     Returns the corrected 4-vector readouts at ``sample_steps`` (sorted,
-    all > 0), one row each. Blocks between consecutive samples that start
-    at or after step M may be jumped; all others are stepped.
+    all > 0), one row each. Runs of steady blocks of one length, those
+    starting at or after step M, may be swept; all other blocks are stepped.
     """
     m = transfer.dk_max
-    starts = [0, *sample_steps[:-1]]
-    counts = Counter(end - start for start, end in zip(starts, sample_steps) if start >= m)
-    correction = _readout_factor(m + 1, table) if sample_steps[-1] > m else None
-    blocks = _jump_blocks(transfer.step, correction,
-                          {length for length, count in counts.items()
-                           if _jump_pays(length, 4 ** m, count)})
+    q = 4 ** m
+    ends = np.asarray(sample_steps)
+    lengths = np.diff(ends, prepend=0)
+    starts = ends - lengths
+    steady = starts >= m
+    correction = _readout_factor(m + 1, table) if ends[-1] > m else None
+    values, counts = np.unique(lengths[steady], return_counts=True)
+    plans = _jump_blocks(transfer.step, correction,
+                         {length for length, count in zip(values.tolist(), counts.tolist())
+                          if _jump_pays(length, q, count)})
+    # one past the last block of each run of one length
+    stops = np.append(np.flatnonzero(np.diff(lengths)) + 1, len(ends))
+    chunk = span = _chunk_blocks(q)
     limit = guard * (1.0 - CERTIFICATE_MARGIN)
 
     f = rho0v
-    samples = np.zeros((len(sample_steps), 4), dtype=np.complex128)
-    for i, (start, end) in enumerate(zip(starts, sample_steps)):
-        block = blocks.get(end - start) if start >= m else None
-        if block is not None:
-            jump, scaled = block
-            if (scaled @ np.abs(f)).max() <= limit:
-                out = jump @ f
-                samples[i], f = out[:4], out[4:]
+    samples = np.zeros((len(ends), 4), dtype=np.complex128)
+    i = 0
+    while i < len(ends):
+        plan = plans.get(int(lengths[i])) if steady[i] else None
+        if plan is not None:
+            readout, scaled, squares = plan
+            k = int(min(stops[np.searchsorted(stops, i, side="right")] - i, span))
+            with np.errstate(all="ignore"):
+                while len(squares) < (k - 1).bit_length():
+                    squares.append(squares[-1] @ squares[-1])
+                rows = _sweep(f, squares, k - 1)
+                certified = (np.abs(rows) @ scaled).max(axis=1) <= limit
+            n = k if certified.all() else int(certified.argmin())
+            if n:
+                samples[i:i + n] = rows[:n] @ readout
+                f = rows[n - 1] @ squares[0]
+                i += n
+            # after a failed block, the chunks regrow from the certified prefix
+            span = min(2 * span, chunk) if n == k else max(n, 1)
+            if n == k:
                 continue
-        f, samples[i] = _step_block(f, transfer, table, correction, start, end, guard)
+        f, samples[i] = _step_block(f, transfer, table, correction,
+                                    int(starts[i]), int(ends[i]), guard)
+        i += 1
     return samples
 
 

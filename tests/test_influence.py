@@ -62,16 +62,19 @@ def test_interior_entries_depend_on_separation_only(paper_bath, table):
 
 
 def test_debug_csv_dump(table, tmp_path):
-    from jcqsim import dump_eta_csv
+    # the rows that `jcqsim evolve --dump-eta` writes through the CLI's CSV writer
+    from jcqsim.cli import _write_csv
+    from jcqsim.influence import ETA_COLUMNS
 
     path = tmp_path / "eta.csv"
-    dump_eta_csv(table, str(path))
+    _write_csv(str(path), ETA_COLUMNS, table.rows())
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "dk,class,re_eta,im_eta"
     assert len(lines) == 1 + 2 + 3 * table.dk_max
     dk, kind, re, im = lines[1].split(",")
     assert (dk, kind) == ("0", "interior")
     assert float(re) == pytest.approx(table.eta_self_interior.real, rel=1e-12)
+    assert lines[-1].split(",")[:2] == [str(table.dk_max), "ee"]
 
 
 class TestTimeDomainOracles:

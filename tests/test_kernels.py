@@ -2,12 +2,15 @@
 
 import dataclasses
 import functools
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from jcqsim import itm
+from jcqsim.analysis import step_count
 from jcqsim import (InstabilityError, build_transfer_tensor, eta_coefficients,
                     initial_state, propagate, short_time_propagator)
 from jcqsim.influence import COUPLING_WEIGHT, EtaTable
@@ -20,6 +23,8 @@ N_STEPS = 5003  # a multiple of neither 7 nor 64
 # and their length: the last block is a full 64-step one.
 GROWTH = 8e-4
 N_GROWING = 78 * 64
+# the paper's run: 3 us in steps of DT
+N_PAPER = step_count(3.0e6, DT)
 
 
 @pytest.fixture(scope="module")
@@ -143,12 +148,23 @@ def test_certificate_decides_per_block(monkeypatch, routes, steady):
     peak = []
     per_step_evolve_window(*args, peak=peak)
     guard = 2.0 * peak[0]
+    swept = []
+    sweep = itm._sweep
+
+    def spy_sweep(f, squares, k):
+        swept.append(k + 1)
+        return sweep(f, squares, k)
+
+    monkeypatch.setattr(itm, "_sweep", spy_sweep)
     expected = per_step_evolve_window(*args, guard=guard)
     samples = itm.evolve_window(*args, guard=guard)
     assert np.abs(samples - expected).max() <= 1e-11
     _, stepped = routes
     full_blocks = N_STEPS // 64 - 1  # the first block starts in the ramp, the last is shorter
     assert 0 < stepped.count(64) < full_blocks
+    # after each failed block the chunks regrow from the certified prefix, so
+    # the rows swept stay within a few times the blocks, not one chunk a failure
+    assert sum(swept) <= 3 * full_blocks
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
@@ -188,3 +204,119 @@ def test_non_finite_powers_are_stepped(paper_qubit):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert itm._jump_blocks(transfer.step, correction, {1, 100}).keys() == {1}
+
+
+class CountedMatrix(np.ndarray):
+    """A power of the steady map that counts the matrix products it takes part in.
+
+    A product of two such powers is a squaring and yields another counted
+    power; a product with anything else is a product with windows.
+    """
+
+    window_products = 0
+    squarings = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        result = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+        if ufunc is not np.matmul:
+            return result
+        if all(isinstance(x, CountedMatrix) for x in inputs):
+            CountedMatrix.squarings += 1
+            return result.view(CountedMatrix)
+        CountedMatrix.window_products += 1
+        return result
+
+
+@pytest.mark.parametrize("top", ["0", "1", "2^d-1", "2^d", "2^d+1"])
+@pytest.mark.parametrize("dk_max", [1, 4])
+def test_sweep_matches_repeated_jumps(steady, dk_max, top):
+    # a full chunk of 2^d blocks sweeps the rows 0 .. 2^d - 1
+    full = itm._chunk_blocks(4 ** dk_max) - 1
+    k = {"0": 0, "1": 1, "2^d-1": full, "2^d": full + 1, "2^d+1": full + 2}[top]
+    transfer, table = steady(dk_max)
+    correction = itm._readout_factor(dk_max + 1, table)
+    _, _, squares = itm._jump_blocks(transfer.step, correction, {64})[64]
+    while len(squares) < k.bit_length():
+        squares.append(squares[-1] @ squares[-1])
+    f = np.random.default_rng(k).normal(size=4 ** dk_max) * 0.1 + 0j
+    rows = itm._sweep(f, squares, k)
+    expected = [f]
+    for _ in range(k):
+        expected.append(expected[-1] @ squares[0])
+    assert rows.shape == (k + 1, f.size)
+    assert np.abs(rows - np.array(expected)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dk_max", [1, 2])
+def test_certificate_fails_inside_chunk(monkeypatch, growing, dk_max):
+    # the 76 steady blocks fit one chunk, and the guard sits just above the
+    # peak of the last block: the sweep certifies a prefix of the chunk (at
+    # dk_max 3 the bound is too loose to certify the first block, and at 4 a
+    # chunk holds 16 blocks)
+    assert itm._chunk_blocks(4 ** dk_max) > N_GROWING // 64
+    args = kernel_inputs(monkeypatch, *growing(dk_max), sample_every=64, n_steps=N_GROWING)
+    peak = []
+    per_step_evolve_window(*args, peak=peak)
+    guard = peak[0] * (1 + 1e-9)
+    stepped = []
+    step = itm._step_block
+
+    def spy_step(f, transfer, table, correction, start, end, guard):
+        if start >= transfer.dk_max:
+            stepped.append(start)
+        return step(f, transfer, table, correction, start, end, guard)
+
+    monkeypatch.setattr(itm, "_step_block", spy_step)
+    expected = per_step_evolve_window(*args, guard=guard)
+    samples = itm.evolve_window(*args, guard=guard)
+    assert np.abs(samples - expected).max() <= 1e-11
+    assert stepped and min(stepped) > 64
+
+
+def test_steady_sweep_memory(steady):
+    # q = 256: chunks of 16 blocks, four squared powers of 1 MiB each; the
+    # per-jump route before the sweep peaked at 4.56 MiB here
+    transfer, table = steady(4)
+    rho0 = initial_state("zero")
+    propagate(rho0, transfer, table, N_STEPS, sample_every=64)
+    tracemalloc.start()
+    try:
+        propagate(rho0, transfer, table, N_STEPS, sample_every=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Makes the kernel's powers of the steady map CountedMatrix and resets the counts."""
+    build = itm._jump_blocks
+
+    def spy_build(g2d, c2d, lengths):
+        return {length: (readout, scaled, [power.view(CountedMatrix) for power in powers])
+                for length, (readout, scaled, powers) in build(g2d, c2d, lengths).items()}
+
+    monkeypatch.setattr(itm, "_jump_blocks", spy_build)
+    CountedMatrix.window_products = CountedMatrix.squarings = 0
+    return CountedMatrix
+
+
+def test_paper_run_sweeps_in_log_products(counted, paper_bath, paper_qubit):
+    # every product on the steady path takes a power of the steady map
+    table = eta_coefficients(paper_bath, DT, N_PAPER, 1)
+    transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
+    traj = propagate(initial_state("zero"), transfer, table, N_PAPER, sample_every=64)
+    assert len(traj) == 3690
+    depth = math.ceil(math.log2(len(traj)))
+    assert 1 <= counted.window_products <= depth + 1
+    assert counted.squarings < depth
+
+
+def test_squared_powers_built_once(counted, steady):
+    # 77 steady 64-step blocks in chunks of 16 at dk_max 4: P^2, P^4 and P^8
+    transfer, table = steady(4)
+    propagate(initial_state("zero"), transfer, table, N_STEPS, sample_every=64)
+    assert itm._chunk_blocks(4 ** 4) == 16
+    assert counted.squarings == 3
+    assert counted.window_products == 5 * (4 + 1)
