@@ -27,6 +27,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
+# Allowed values of the config keys that take a name.
+CHOICES = {"initial_state": ("plus", "zero", "one"), "observable": FIT_OBSERVABLES}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -58,10 +61,10 @@ class RunConfig:
             raise ConfigError(f"dk_max must be >= 1, got {self.dk_max}")
         if self.sample_every < 1:
             raise ConfigError(f"sample_every must be >= 1, got {self.sample_every}")
-        if self.initial_state not in ("plus", "zero", "one"):
-            raise ConfigError(f"initial_state must be plus/zero/one, got {self.initial_state!r}")
-        if self.observable not in FIT_OBSERVABLES:
-            raise ConfigError(f"observable must be one of {FIT_OBSERVABLES}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         return self
 
     @property
@@ -81,15 +84,6 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    if kind in (int, "int"):
-        return int(raw)
-    if kind in (float, "float"):
-        return float(raw)
-    return raw
-
-
 def load_config_file(path: str) -> dict:
     """Parse a flat key = value config file; '#' starts a comment."""
     values = {}
@@ -105,7 +99,7 @@ def load_config_file(path: str) -> dict:
             if key not in _FIELD_TYPES:
                 raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
             try:
-                values[key] = _coerce(key, raw)
+                values[key] = _FIELD_TYPES[key](raw)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{line_no}: bad value for {key}: {raw!r}") from exc
     return values
@@ -196,7 +190,7 @@ def cmd_compare(config: RunConfig, include_cutoff: bool, out) -> int:
                      initial=config.initial_state, observable=config.observable,
                      include_cutoff=include_cutoff)
     for key, value in report.parameters.items():
-        out.write(f"param {key} = {value}\n")
+        out.write(f"param {key} = {fmt(value)}\n")
     out.write(f"tau2_bloch_us = {fmt(report.tau2_bloch)}\n")
     out.write(f"tau2_itm_us = {fmt(report.tau2_itm)}\n")
     out.write(f"ratio = {fmt(report.ratio)}\n")
@@ -227,20 +221,9 @@ def cmd_oracle(config: RunConfig, n_steps: int, out) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--e-j-ueV", dest="e_j_ueV", type=float)
-    parser.add_argument("--e-c-ueV", dest="e_c_ueV", type=float)
-    parser.add_argument("--n-g", dest="n_g", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--omega-c-per-ps", dest="omega_c_per_ps", type=float)
-    parser.add_argument("--temperature-mK", dest="temperature_mK", type=float)
-    parser.add_argument("--dt-ps", dest="dt_ps", type=float)
-    parser.add_argument("--dk-max", dest="dk_max", type=int)
-    parser.add_argument("--t-max-ps", dest="t_max_ps", type=float)
-    parser.add_argument("--sample-every", dest="sample_every", type=int)
-    parser.add_argument("--initial-state", dest="initial_state",
-                        choices=("plus", "zero", "one"))
-    parser.add_argument("--observable", choices=FIT_OBSERVABLES)
-    parser.add_argument("--output")
+    for name, kind in _FIELD_TYPES.items():
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                            choices=CHOICES.get(name))
 
 
 def make_parser() -> argparse.ArgumentParser:

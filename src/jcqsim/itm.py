@@ -28,31 +28,32 @@ n = M + 1 the steady readout correction c.
 After the ramp every step is the same linear map A on f,
 e[j, y] = f[j] g[j, y] folded again: the transpose of
 ``TransferTensor.dense()``; the readout after the step is R f with
-R[y, j] = g[j, y] c[j, y]. The run is cut into blocks between
-consecutive sample steps; a block that starts in the ramp is stepped. A
-steady block of L steps maps its start window f to P f, P = A^L, with
-the sample (R A^(L-1)) f. P is built by pushing the q x q identity through
-L steps of ``window_step``, with the certificate B_L = max_{0 <= k < L}
-|A^k| taken entrywise. Since |A^k f| <= B_L |f|, a block whose bound
-(B_L |f|)[j] max_y |g[j, y]| stays below the guard cannot trip it.
+R[y, j] = g[j, y] c[j, y]. A run that samples every L = ``every`` steps
+is cut into blocks of L steps and a last, partial one; blocks that start
+in the ramp and the partial block are stepped. A full steady block maps
+its start window f to P f, P = A^L, with the sample (R A^(L-1)) f. P is
+built by pushing the q x q identity through L steps of ``window_step``,
+with the certificate B_L = max_{0 <= k < L} |A^k| taken entrywise. Since
+|A^k f| <= B_L |f|, a block whose bound (B_L |f|)[j] max_y |g[j, y]|
+stays below the guard cannot trip it.
 
-A run of steady blocks of one length is swept by doubling, the
-transfer-tensor view of Cerrillo and Cao, PRL 112, 110401 (2014): step j
-appends the rows so far times P^(2^j) to the table of start windows
-P^i f, so 2^d blocks take d products; the squared powers are built once
-per length, and two batched products give every block's sample and bound.
-The first block whose bound fails or is not finite is stepped, so the
-guard trips at the same step as a per-step run would; the sweep resumes
-after it, its chunks regrown from the certified prefix. The window after
-a prefix is one jump from its last row: squared powers may overflow where
-the run does not. A chunk of 2^d blocks holds 2^d rows of q entries and d
-powers of q^2, 2^d q^2 <= ``SWEEP_BUDGET``: the whole paper run at q = 4,
-16 blocks at q = 256.
+The full steady blocks are swept by doubling, the transfer-tensor view of
+Cerrillo and Cao, PRL 112, 110401 (2014): step j appends the rows so far
+times P^(2^j) to the table of start windows P^i f, so 2^d blocks take d
+products; the squared powers are built once per run, and two batched
+products give every block's sample and bound. The first block whose bound
+fails or is not finite is stepped, so the guard trips at the same step as
+a per-step run would; the sweep resumes after it, its chunks regrown from
+the certified prefix. The window after a prefix is one jump from its last
+row: squared powers may overflow where the run does not. A chunk of 2^d
+blocks holds 2^d rows of q entries and d powers of q^2,
+2^d q^2 <= ``SWEEP_BUDGET``: the whole paper run at q = 4, 16 blocks at
+q = 256.
 
 ``_jump_pays`` prices sweeping and stepping with a cost model in q, L,
-the number of blocks of that length and the chunks they fill. It steps
-every block at M >= 5, blocks of up to 3 steps at M = 4, and a length
-that occurs only once.
+the number of full steady blocks and the chunks they fill. It steps every
+block at M >= 5, where two blocks overflow a chunk, blocks of up to 3 steps
+at M = 4, and runs of fewer than two full steady blocks.
 
 Window tensors have 4^(M+1) entries, so the memory span is capped at
 ``SPAN_CAP``, the same bound as the path length of the path sum.
@@ -84,17 +85,16 @@ CERTIFICATE_MARGIN = 1e-12
 # entry for each of the L steps, and each squared power SQUARE_PER_ENTRY
 # per multiply-add. A sweep chunk costs its products and CHUNK_CALLS more
 # round trips, and each block JUMP_PER_ENTRY per entry of the q x q
-# matrices; one plain step costs STEP_PER_ENTRY per window entry. Above
-# JUMP_MAX_WINDOW entries every block is stepped: the matrices no longer
-# fit in cache, and the build needs several q x q temporaries (16 MB each
-# at q = 4^5).
+# matrices; one plain step costs STEP_PER_ENTRY per window entry. Every
+# block is stepped unless a chunk of two blocks fits SWEEP_BUDGET, q <= 256:
+# above that the matrices no longer fit in cache, and the build needs
+# several q x q temporaries (16 MB each at q = 4^5).
 CALL_OVERHEAD = 8e-6
 BUILD_PER_ENTRY = 6e-9
 SQUARE_PER_ENTRY = 1.2e-10
 CHUNK_CALLS = 12
 JUMP_PER_ENTRY = 5e-10
 STEP_PER_ENTRY = 2e-8
-JUMP_MAX_WINDOW = 4 ** 4
 
 # A sweep chunk of 2^d blocks, d >= 1, has 2^d q^2 <= SWEEP_BUDGET.
 SWEEP_BUDGET = 2 ** 20
@@ -234,8 +234,8 @@ def _chunk_blocks(q):
 
 
 def _jump_pays(length, q, count):
-    """Whether ``count`` steady blocks of ``length`` steps are cheaper swept than stepped."""
-    if q > JUMP_MAX_WINDOW:
+    """Whether ``count`` >= 2 steady blocks of ``length`` steps are cheaper swept than stepped."""
+    if 2 * q * q > SWEEP_BUDGET:
         return False
     chunk = min(count, _chunk_blocks(q))
     depth = (chunk - 1).bit_length()
@@ -247,31 +247,25 @@ def _jump_pays(length, q, count):
     return build + sweep < step
 
 
-def _jump_blocks(g2d, c2d, lengths):
-    """Per block length L: (R A^(L-1))^T, (max_y|g| B_L)^T and the squared powers [(A^L)^T].
+def _jump_plan(g2d, c2d, length):
+    """(R A^(L-1))^T, (max_y|g| B_L)^T and the squared powers [(A^L)^T] for L = ``length``.
 
-    One pass pushes the identity through max(lengths) steps and snapshots
-    each length on the way. Lengths whose matrices are not finite are left
-    out, so their blocks are stepped.
+    Pushes the identity through L steps. Returns None if a matrix is not
+    finite, so the blocks are stepped.
     """
-    if not lengths:
-        return {}
     q = g2d.shape[0]
-    readout = (g2d * c2d).T
-    g_max = np.abs(g2d).max(axis=1)[:, None]
     power = np.eye(q, dtype=np.complex128)
     bound = np.eye(q)
-    blocks = {}
     with np.errstate(all="ignore"):
-        for k in range(1, max(lengths) + 1):
-            before = power
+        for _ in range(length - 1):
             power = window_step(power, g2d)
-            if k in lengths:
-                sample, scaled = readout @ before, g_max * bound
-                if all(np.isfinite(a).all() for a in (sample, power, scaled)):
-                    blocks[k] = sample.T, scaled.T, [power.T]
             np.maximum(bound, np.abs(power), out=bound)
-    return blocks
+        sample = (g2d * c2d).T @ power
+        power = window_step(power, g2d)
+        scaled = np.abs(g2d).max(axis=1)[:, None] * bound
+    if not all(np.isfinite(a).all() for a in (sample, power, scaled)):
+        return None
+    return sample.T, scaled.T, [power.T]
 
 
 def _sweep(f, squares, k):
@@ -319,37 +313,32 @@ def _step_block(f, transfer, table, correction, start, end, guard):
     return (e2d.reshape(4, -1).sum(axis=0) if end >= m else e2d.ravel()), readout
 
 
-def evolve_window(rho0v, transfer, table, sample_steps, guard):
+def evolve_window(rho0v, transfer, table, n_steps, every, guard):
     """Iterate the window from the initial 4-vector ``rho0v`` at step 0.
 
-    Returns the corrected 4-vector readouts at ``sample_steps`` (sorted,
-    all > 0), one row each. Runs of steady blocks of one length, those
-    starting at or after step M, may be swept; all other blocks are stepped.
+    Returns the corrected 4-vector readouts at the steps every, 2 every, ...
+    and n_steps, one row each. The full steady blocks, those starting at or
+    after step M, may be swept; all other blocks are stepped.
     """
     m = transfer.dk_max
     q = 4 ** m
-    ends = np.asarray(sample_steps)
-    lengths = np.diff(ends, prepend=0)
-    starts = ends - lengths
-    steady = starts >= m
-    correction = _readout_factor(m + 1, table) if ends[-1] > m else None
-    values, counts = np.unique(lengths[steady], return_counts=True)
-    plans = _jump_blocks(transfer.step, correction,
-                         {length for length, count in zip(values.tolist(), counts.tolist())
-                          if _jump_pays(length, q, count)})
-    # one past the last block of each run of one length
-    stops = np.append(np.flatnonzero(np.diff(lengths)) + 1, len(ends))
+    n_blocks = -(-n_steps // every)
+    # the full steady blocks are first .. stop - 1
+    first, stop = -(-m // every), n_steps // every
+    correction = _readout_factor(m + 1, table) if n_steps > m else None
+    plan = None
+    if stop - first >= 2 and _jump_pays(every, q, stop - first):
+        plan = _jump_plan(transfer.step, correction, every)
     chunk = span = _chunk_blocks(q)
     limit = guard * (1.0 - CERTIFICATE_MARGIN)
 
     f = rho0v
-    samples = np.zeros((len(ends), 4), dtype=np.complex128)
+    samples = np.zeros((n_blocks, 4), dtype=np.complex128)
     i = 0
-    while i < len(ends):
-        plan = plans.get(int(lengths[i])) if steady[i] else None
-        if plan is not None:
+    while i < n_blocks:
+        if plan is not None and first <= i < stop:
             readout, scaled, squares = plan
-            k = int(min(stops[np.searchsorted(stops, i, side="right")] - i, span))
+            k = min(stop - i, span)
             with np.errstate(all="ignore"):
                 while len(squares) < (k - 1).bit_length():
                     squares.append(squares[-1] @ squares[-1])
@@ -365,18 +354,17 @@ def evolve_window(rho0v, transfer, table, sample_steps, guard):
             if n == k:
                 continue
         f, samples[i] = _step_block(f, transfer, table, correction,
-                                    int(starts[i]), int(ends[i]), guard)
+                                    i * every, min(i * every + every, n_steps), guard)
         i += 1
     return samples
 
 
 def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
-              n_steps: int, sample_every: int = 1,
-              guard: float = DEFAULT_GUARD) -> Trajectory:
+              n_steps: int, sample_every: int = 1) -> Trajectory:
     """Evolve rho0 for n_steps of table.dt, sampling every ``sample_every`` steps.
 
     The t = 0 sample is the initial state itself; the final step is always
-    sampled. Raises InstabilityError if any tensor entry exceeds ``guard``.
+    sampled. Raises InstabilityError if any tensor entry exceeds ``DEFAULT_GUARD``.
     """
     if transfer.dk_max != table.dk_max:
         raise ConfigError(f"transfer tensor memory span {transfer.dk_max} does not "
@@ -387,9 +375,10 @@ def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
         raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
     rho0 = validate_density_matrix(rho0)
 
-    steps = [*range(sample_every, n_steps, sample_every), n_steps]
-    samples = evolve_window(rho0.reshape(4), transfer, table, steps, guard=guard)
-    return Trajectory(times=np.array([0, *steps]) * table.dt,
+    samples = evolve_window(rho0.reshape(4), transfer, table, n_steps, sample_every,
+                            guard=DEFAULT_GUARD)
+    steps = np.append(np.arange(0, n_steps, sample_every), n_steps)
+    return Trajectory(times=steps * table.dt,
                       rhos=np.concatenate([rho0.reshape(1, 4), samples]).reshape(-1, 2, 2))
 
 

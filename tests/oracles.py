@@ -161,16 +161,17 @@ def monolithic_influence(path_plus, path_minus, table) -> complex:
     return np.exp(-g2 / HBAR * phase)
 
 
-def per_step_evolve_window(rho0v, transfer, table, sample_steps, guard=4.0, peak=None):
+def per_step_evolve_window(rho0v, transfer, table, n_steps, every, guard=4.0, peak=None):
     """Window iteration one step at a time from step 0, as a drop-in for evolve_window.
 
     Each step folds out the oldest point once the window holds M + 1
     points, multiplies in the step factor, checks every entry against
-    ``guard`` and reads out at sample steps. If ``peak`` is a list, the
-    largest entry magnitude seen after the ramp (steps past M) is appended
-    to it.
+    ``guard`` and reads out at the sample steps every, 2 every, ... and
+    n_steps. If ``peak`` is a list, the largest entry magnitude seen after
+    the ramp (steps past M) is appended to it.
     """
     m = transfer.dk_max
+    sample_steps = [*range(every, n_steps, every), n_steps]
     state = np.array(rho0v, dtype=complex)
     samples = np.zeros((len(sample_steps), 4), dtype=complex)
     largest, si = 0.0, 0

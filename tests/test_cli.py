@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from jcqsim import eta_coefficients
+from jcqsim.analysis import step_count
 from jcqsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, fmt, main
 
 
@@ -111,13 +113,24 @@ class TestEvolveCommand:
                                "--t-max-ps", "100")
         assert code == EXIT_IO
 
-    def test_eta_dump_flag(self, tmp_path, capsys):
+    def test_eta_dump_flag(self, tmp_path, capsys, paper_bath):
         out_file = tmp_path / "traj.csv"
         eta_file = tmp_path / "eta.csv"
+        dk_max = 3
         code, _, _ = run_cli(capsys, "evolve", "--output", str(out_file),
-                             "--dump-eta", str(eta_file), "--t-max-ps", "200")
+                             "--dump-eta", str(eta_file), "--t-max-ps", "200",
+                             "--dk-max", str(dk_max))
         assert code == EXIT_OK
-        assert eta_file.read_text().startswith("dk,class,re_eta,im_eta\n")
+        table = eta_coefficients(paper_bath, 12.707, step_count(200.0, 12.707), dk_max)
+        etas = [(0, "interior", table.eta_self("interior")),
+                (0, "endpoint", table.eta_self("endpoint"))]
+        etas += [(dk, kind, table.eta_pair(dk, kind))
+                 for dk in range(1, dk_max + 1) for kind in ("ii", "ei", "ee")]
+        lines = [f"{dk},{kind},{format(eta.real, '.12g')},{format(eta.imag, '.12g')}"
+                 for dk, kind, eta in etas]
+        assert len(lines) == 2 + 3 * dk_max
+        assert eta_file.read_text() == "dk,class,re_eta,im_eta\n" + "".join(
+            line + "\n" for line in lines)
 
     def test_memory_span_over_cap_writes_nothing(self, tmp_path, capsys):
         out_file = tmp_path / "traj.csv"
@@ -179,6 +192,8 @@ class TestCompareCommand:
         # config echo includes every input
         for key in ("e_j_ueV = 51.8", "alpha = 5e-06", "dt_ps = 12.707", "dk_max = 1"):
             assert key in out
+        # the report parameters are rendered like the config echo and the CSV
+        assert "param t_max_ps = 1000000\n" in out
         lines = out_file.read_text().strip().split("\n")
         assert len(lines) == 2
         assert "tau2_itm_us" in lines[0]

@@ -62,19 +62,20 @@ def growing(paper_qubit, steady):
 def routes(monkeypatch):
     """Block lengths the kernel built jumps for, and the lengths of steady blocks it stepped."""
     built, stepped = [], []
-    build, step = itm._jump_blocks, itm._step_block
+    build, step = itm._jump_plan, itm._step_block
 
-    def spy_build(g2d, c2d, lengths):
-        blocks = build(g2d, c2d, lengths)
-        built.extend(blocks)
-        return blocks
+    def spy_build(g2d, c2d, length):
+        plan = build(g2d, c2d, length)
+        if plan is not None:
+            built.append(length)
+        return plan
 
     def spy_step(f, transfer, table, correction, start, end, guard):
         if start >= transfer.dk_max:
             stepped.append(end - start)
         return step(f, transfer, table, correction, start, end, guard)
 
-    monkeypatch.setattr(itm, "_jump_blocks", spy_build)
+    monkeypatch.setattr(itm, "_jump_plan", spy_build)
     monkeypatch.setattr(itm, "_step_block", spy_step)
     return built, stepped
 
@@ -112,19 +113,32 @@ def test_backend_name():
     assert itm.backend_name() == "numpy"
 
 
-@pytest.mark.parametrize("every", [1, 7, 64])
+@pytest.mark.parametrize("every, n_steps", [
+    pytest.param(1, N_STEPS, id="1"),
+    pytest.param(7, N_STEPS, id="7"),
+    pytest.param(64, N_STEPS, id="64"),
+    # the last block is full and swept with the others
+    pytest.param(64, N_GROWING, id="64-full-last"),
+    # one block, stepped from step 0
+    pytest.param(N_STEPS + 1, N_STEPS, id="one-block"),
+])
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
-def test_jump_route_matches_per_step(monkeypatch, routes, steady, dk_max, every):
+def test_jump_route_matches_per_step(monkeypatch, routes, steady, dk_max, every, n_steps):
     transfer, table = steady(dk_max)
     rho0 = initial_state("zero")
-    reference = per_step_propagate(monkeypatch, rho0, transfer, table, N_STEPS,
+    reference = per_step_propagate(monkeypatch, rho0, transfer, table, n_steps,
                                    sample_every=every)
-    traj = propagate(rho0, transfer, table, N_STEPS, sample_every=every)
+    traj = propagate(rho0, transfer, table, n_steps, sample_every=every)
     np.testing.assert_array_equal(traj.times, reference.times)
     assert np.abs(traj.rhos - reference.rhos).max() <= 1e-11
     built, stepped = routes
-    if every > 1:
+    if every > n_steps:
+        # the one block starts in the ramp
+        assert built == stepped == []
+    elif every > 1:
         assert every in built
+        # of the steady blocks only a partial last one is stepped
+        assert stepped == ([n_steps % every] if n_steps % every else [])
     # at the default guard no physical block falls back to stepping
     assert not set(built) & set(stepped)
 
@@ -203,7 +217,8 @@ def test_non_finite_powers_are_stepped(paper_qubit):
     correction = np.ones_like(transfer.step)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert itm._jump_blocks(transfer.step, correction, {1, 100}).keys() == {1}
+        assert itm._jump_plan(transfer.step, correction, 1) is not None
+        assert itm._jump_plan(transfer.step, correction, 100) is None
 
 
 class CountedMatrix(np.ndarray):
@@ -235,7 +250,7 @@ def test_sweep_matches_repeated_jumps(steady, dk_max, top):
     k = {"0": 0, "1": 1, "2^d-1": full, "2^d": full + 1, "2^d+1": full + 2}[top]
     transfer, table = steady(dk_max)
     correction = itm._readout_factor(dk_max + 1, table)
-    _, _, squares = itm._jump_blocks(transfer.step, correction, {64})[64]
+    _, _, squares = itm._jump_plan(transfer.step, correction, 64)
     while len(squares) < k.bit_length():
         squares.append(squares[-1] @ squares[-1])
     f = np.random.default_rng(k).normal(size=4 ** dk_max) * 0.1 + 0j
@@ -291,13 +306,16 @@ def test_steady_sweep_memory(steady):
 @pytest.fixture
 def counted(monkeypatch):
     """Makes the kernel's powers of the steady map CountedMatrix and resets the counts."""
-    build = itm._jump_blocks
+    build = itm._jump_plan
 
-    def spy_build(g2d, c2d, lengths):
-        return {length: (readout, scaled, [power.view(CountedMatrix) for power in powers])
-                for length, (readout, scaled, powers) in build(g2d, c2d, lengths).items()}
+    def spy_build(g2d, c2d, length):
+        plan = build(g2d, c2d, length)
+        if plan is None:
+            return None
+        readout, scaled, powers = plan
+        return readout, scaled, [power.view(CountedMatrix) for power in powers]
 
-    monkeypatch.setattr(itm, "_jump_blocks", spy_build)
+    monkeypatch.setattr(itm, "_jump_plan", spy_build)
     CountedMatrix.window_products = CountedMatrix.squarings = 0
     return CountedMatrix
 
