@@ -10,7 +10,7 @@ exponential (with free asymptote) to an ITM trajectory observable; for
 oscillatory observables the fit runs on the envelope of local extrema.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -48,7 +48,6 @@ class ComparisonReport:
     tau2_bloch: float
     tau2_itm: float
     ratio: float
-    parameters: dict = field(default_factory=dict)
 
 
 def bloch_decoherence_time(params: QubitParameters, bath: OhmicBath,
@@ -172,13 +171,4 @@ def compare(params: QubitParameters, bath: OhmicBath, dt: float, dk_max: int,
     trajectory = propagate(initial_state(initial), transfer, table, n_steps,
                            sample_every=sample_every)
     fit = fit_decay(trajectory, observable)
-    echo = {
-        "e_j_ueV": params.e_j, "e_c_ueV": params.e_c, "n_g": params.n_g,
-        "alpha": bath.alpha, "omega_c_per_ps": bath.omega_c,
-        "temperature_mK": bath.temperature, "dt_ps": dt, "dk_max": dk_max,
-        "t_max_ps": t_max, "sample_every": sample_every,
-        "initial_state": initial, "observable": observable,
-        "bloch_cutoff": include_cutoff,
-    }
-    return ComparisonReport(tau2_bloch=tau2_bloch, tau2_itm=fit.tau,
-                            ratio=fit.tau / tau2_bloch, parameters=echo)
+    return ComparisonReport(tau2_bloch=tau2_bloch, tau2_itm=fit.tau, ratio=fit.tau / tau2_bloch)

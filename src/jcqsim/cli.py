@@ -17,10 +17,10 @@ import numpy as np
 
 from .analysis import FIT_OBSERVABLES, bloch_decoherence_time, compare, step_count
 from .bath import OhmicBath, response_function
-from .errors import ConfigError, NumericalError, SimulationError
+from .errors import CapacityError, ConfigError, NumericalError, SimulationError
 from .influence import ETA_COLUMNS, eta_coefficients
-from .itm import brute_force_path_sum, build_transfer_tensor, propagate
-from .qubit import QubitParameters, initial_state, short_time_propagator
+from .itm import ROW_CAP, brute_force_path_sum, build_transfer_tensor, propagate
+from .qubit import INITIAL_STATES, QubitParameters, initial_state, short_time_propagator
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -28,7 +28,7 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 # Allowed values of the config keys that take a name.
-CHOICES = {"initial_state": ("plus", "zero", "one"), "observable": FIT_OBSERVABLES}
+CHOICES = {"initial_state": tuple(INITIAL_STATES), "observable": FIT_OBSERVABLES}
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def cmd_response(config: RunConfig, t_max: float, n_points: int, out) -> int:
     if n_points < 2:
         raise ConfigError(f"n_points must be >= 2, got {n_points}")
+    if n_points + 1 > ROW_CAP:
+        raise CapacityError(f"response grid capped at {ROW_CAP} rows, got {n_points + 1}")
     if not np.isfinite(t_max):
         raise ConfigError(f"response t_max must be finite, got {t_max}")
     if not config.output:
@@ -189,14 +191,16 @@ def cmd_compare(config: RunConfig, include_cutoff: bool, out) -> int:
                      config.t_max_ps, sample_every=config.sample_every,
                      initial=config.initial_state, observable=config.observable,
                      include_cutoff=include_cutoff)
-    for key, value in report.parameters.items():
+    params = {f.name: getattr(config, f.name) for f in fields(RunConfig) if f.name != "output"}
+    params["bloch_cutoff"] = include_cutoff
+    for key, value in params.items():
         out.write(f"param {key} = {fmt(value)}\n")
     out.write(f"tau2_bloch_us = {fmt(report.tau2_bloch)}\n")
     out.write(f"tau2_itm_us = {fmt(report.tau2_itm)}\n")
     out.write(f"ratio = {fmt(report.ratio)}\n")
     if config.output:
-        header = [*report.parameters.keys(), "tau2_bloch_us", "tau2_itm_us", "ratio"]
-        row = [*report.parameters.values(), report.tau2_bloch, report.tau2_itm, report.ratio]
+        header = [*params, "tau2_bloch_us", "tau2_itm_us", "ratio"]
+        row = [*params.values(), report.tau2_bloch, report.tau2_itm, report.ratio]
         _write_csv(config.output, header, [row])
         out.write(f"wrote report row to {config.output}\n")
     return EXIT_OK

@@ -63,7 +63,6 @@ class EtaTable:
     """
 
     dt: float
-    n_steps: int
     dk_max: int
     eta_self_interior: complex
     eta_self_end: complex
@@ -116,11 +115,9 @@ def eta_coefficients(bath: OhmicBath, dt: float, n_steps: int, dk_max: int) -> E
     q = response_integral(bath, (dk[:, None] + edges[:, None, :]) * dt)
     pair = q @ np.array([1.0, -1.0, -1.0, 1.0])
 
-    return EtaTable(dt=dt, n_steps=n_steps, dk_max=dk_max,
-                    eta_self_interior=complex(self_eta[0]),
-                    eta_self_end=complex(self_eta[1]),
-                    eta_pair_interior=pair[0], eta_pair_end_interior=pair[1],
-                    eta_pair_end_end=pair[2])
+    return EtaTable(dt=dt, dk_max=dk_max, eta_self_interior=complex(self_eta[0]),
+                    eta_self_end=complex(self_eta[1]), eta_pair_interior=pair[0],
+                    eta_pair_end_interior=pair[1], eta_pair_end_end=pair[2])
 
 
 def self_factor_table(eta_self: complex) -> np.ndarray:

@@ -75,6 +75,9 @@ DEFAULT_GUARD = 4.0
 # enumerates 4^(N + 1) paths.
 SPAN_CAP = 10
 
+# Largest number of output rows, trajectory samples or response grid points.
+ROW_CAP = 2 ** 24
+
 # A certified block's bound must sit this far below the guard, relative,
 # to absorb the rounding difference between the jump and the steps.
 CERTIFICATE_MARGIN = 1e-12
@@ -364,7 +367,8 @@ def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
     """Evolve rho0 for n_steps of table.dt, sampling every ``sample_every`` steps.
 
     The t = 0 sample is the initial state itself; the final step is always
-    sampled. Raises InstabilityError if any tensor entry exceeds ``DEFAULT_GUARD``.
+    sampled. Raises InstabilityError if any tensor entry exceeds ``DEFAULT_GUARD``,
+    and CapacityError, before anything is allocated, above ``ROW_CAP`` samples.
     """
     if transfer.dk_max != table.dk_max:
         raise ConfigError(f"transfer tensor memory span {transfer.dk_max} does not "
@@ -373,6 +377,9 @@ def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
     if sample_every < 1:
         raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
+    rows = -(-n_steps // sample_every) + 1
+    if rows > ROW_CAP:
+        raise CapacityError(f"trajectory capped at {ROW_CAP} samples, got {rows}")
     rho0 = validate_density_matrix(rho0)
 
     samples = evolve_window(rho0.reshape(4), transfer, table, n_steps, sample_every,

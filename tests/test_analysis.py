@@ -129,15 +129,6 @@ class TestCompare:
         assert report.tau2_itm < report.tau2_bloch
         assert report.ratio == pytest.approx(report.tau2_itm / report.tau2_bloch, rel=1e-12)
 
-    def test_parameter_echo(self, paper_qubit, paper_bath):
-        report = compare(paper_qubit, paper_bath, dt=12.707, dk_max=1, t_max=1.0e6)
-        echo = report.parameters
-        assert echo["e_j_ueV"] == 51.8
-        assert echo["alpha"] == 5e-6
-        assert echo["dt_ps"] == 12.707
-        assert echo["dk_max"] == 1
-        assert echo["initial_state"] == "zero"
-
     def test_weaker_coupling_lengthens_both(self, paper_qubit, paper_bath):
         base = compare(paper_qubit, paper_bath, dt=12.707, dk_max=1, t_max=1.0e6)
         # 50x weaker coupling decays 50x slower; give the fit a window that

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from jcqsim import eta_coefficients
 from jcqsim.analysis import step_count
 from jcqsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, fmt, main
+from jcqsim.itm import ROW_CAP
 
 
 def run_cli(capsys, *argv):
@@ -193,14 +196,55 @@ class TestCompareCommand:
         for key in ("e_j_ueV = 51.8", "alpha = 5e-06", "dt_ps = 12.707", "dk_max = 1"):
             assert key in out
         # the report parameters are rendered like the config echo and the CSV
-        assert "param t_max_ps = 1000000\n" in out
+        for line in ("e_j_ueV = 51.8", "alpha = 5e-06", "dt_ps = 12.707", "dk_max = 1",
+                     "initial_state = zero", "t_max_ps = 1000000", "bloch_cutoff = True"):
+            assert f"param {line}\n" in out
         lines = out_file.read_text().strip().split("\n")
         assert len(lines) == 2
-        assert "tau2_itm_us" in lines[0]
+        # the config fields but the output path, the cutoff flag, then the report
+        assert lines[0].split(",") == [
+            "e_j_ueV", "e_c_ueV", "n_g", "alpha", "omega_c_per_ps", "temperature_mK",
+            "dt_ps", "dk_max", "t_max_ps", "sample_every", "initial_state", "observable",
+            "bloch_cutoff", "tau2_bloch_us", "tau2_itm_us", "ratio"]
+        assert lines[1].startswith("51.8,122,0.5,5e-06,5,30,12.707,1,1000000,64,zero,"
+                                   "im_rho01,True,")
 
     def test_exit_zero(self, capsys):
         code, _, _ = run_cli(capsys, "compare", "--t-max-ps", "1e6")
         assert code == EXIT_OK
+
+
+class TestRowCap:
+
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--t-max-ps", "1e13", "--sample-every", "1"),
+        ("compare", "--t-max-ps", "1e13"),
+        ("response", "--n-points", "100000000000"),
+    ], ids=["evolve", "compare", "response"])
+    def test_oversized_grid_writes_nothing(self, tmp_path, capsys, argv):
+        out_file = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, *argv, "--output", str(out_file))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        assert f"capped at {ROW_CAP}" in err
+        assert not out_file.exists()
+        assert peak < 2 ** 20
+
+    def test_cap_counts_every_row(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("jcqsim.cli.ROW_CAP", 11)
+        out_file = tmp_path / "gamma.csv"
+        code, _, _ = run_cli(capsys, "response", "--n-points", "10", "--output", str(out_file))
+        assert code == EXIT_OK
+        assert len(out_file.read_text().splitlines()) == 1 + 11
+        out_file.unlink()
+        code, _, err = run_cli(capsys, "response", "--n-points", "11", "--output", str(out_file))
+        assert code == EXIT_CONFIG
+        assert "got 12" in err
+        assert not out_file.exists()
 
 
 class TestOracleCommand:

@@ -204,7 +204,7 @@ class TestGuardsAndErrors:
 
     def test_explosion_guard_reports_step(self, monkeypatch, paper_qubit):
         # an amplifying self term (negative real part) blows the window up
-        bad = EtaTable(dt=DT, n_steps=1000, dk_max=1,
+        bad = EtaTable(dt=DT, dk_max=1,
                        eta_self_interior=complex(-40000.0, 0.0),
                        eta_self_end=complex(0.0, 0.0),
                        eta_pair_interior=np.zeros(1, dtype=complex),
@@ -226,6 +226,14 @@ class TestGuardsAndErrors:
             propagate(initial_state("zero"), free_transfer, free_table, 0)
         with pytest.raises(ConfigError):
             propagate(initial_state("zero"), free_transfer, free_table, 10, sample_every=0)
+
+    def test_row_cap_counts_every_sample(self, monkeypatch, free_transfer, free_table):
+        # 10 steps sampled every 3 give the samples at 0, 3, 6, 9 and 10
+        monkeypatch.setattr(itm, "ROW_CAP", 5)
+        assert len(propagate(initial_state("zero"), free_transfer, free_table, 10,
+                             sample_every=3)) == 5
+        with pytest.raises(CapacityError, match="got 6"):
+            propagate(initial_state("zero"), free_transfer, free_table, 13, sample_every=3)
 
     def test_trajectory_time_axis(self, free_transfer, free_table):
         traj = propagate(initial_state("zero"), free_transfer, free_table, 100,

@@ -103,7 +103,7 @@ def kernel_inputs(monkeypatch, transfer, table, sample_every, n_steps=N_STEPS):
 def amplifying_table(dk_max, eta_self_interior):
     # a negative real self term makes every step grow the window
     zeros = np.zeros(dk_max, dtype=complex)
-    return EtaTable(dt=DT, n_steps=1000, dk_max=dk_max,
+    return EtaTable(dt=DT, dk_max=dk_max,
                     eta_self_interior=complex(eta_self_interior, 0.0),
                     eta_self_end=complex(0.0, 0.0), eta_pair_interior=zeros,
                     eta_pair_end_interior=zeros, eta_pair_end_end=zeros)

@@ -93,6 +93,10 @@ class TestInitialStates:
         np.testing.assert_allclose(initial_state("zero"), np.diag([1.0, 0.0]), atol=0)
         np.testing.assert_allclose(initial_state("one"), np.diag([0.0, 1.0]), atol=0)
 
+    def test_named_states_are_copies(self):
+        initial_state("zero")[0, 0] = 0.0
+        assert initial_state("zero")[0, 0] == 1.0
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             initial_state("minus")
