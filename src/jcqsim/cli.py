@@ -19,7 +19,8 @@ from .analysis import FIT_OBSERVABLES, bloch_decoherence_time, compare, step_cou
 from .bath import OhmicBath, response_function
 from .errors import CapacityError, ConfigError, NumericalError, SimulationError
 from .influence import ETA_COLUMNS, eta_coefficients
-from .itm import ROW_CAP, brute_force_path_sum, build_transfer_tensor, propagate
+from .itm import (ROW_CAP, brute_force_path_sum, build_transfer_tensor, check_row_cap,
+                  propagate)
 from .qubit import INITIAL_STATES, QubitParameters, initial_state, short_time_propagator
 
 EXIT_OK = 0
@@ -160,6 +161,7 @@ def cmd_evolve(config: RunConfig, out, dump_eta: str | None = None) -> int:
     if not config.output:
         raise ConfigError("evolve requires an output path")
     echo_config(config, out)
+    check_row_cap(config.n_steps, config.sample_every)
     table = eta_coefficients(config.bath, config.dt_ps, config.n_steps, config.dk_max)
     transfer = build_transfer_tensor(short_time_propagator(config.qubit, config.dt_ps), table)
     if dump_eta:

@@ -29,31 +29,22 @@ After the ramp every step is the same linear map A on f,
 e[j, y] = f[j] g[j, y] folded again: the transpose of
 ``TransferTensor.dense()``; the readout after the step is R f with
 R[y, j] = g[j, y] c[j, y]. A run that samples every L = ``every`` steps
-is cut into blocks of L steps and a last, partial one; blocks that start
-in the ramp and the partial block are stepped. A full steady block maps
-its start window f to P f, P = A^L, with the sample (R A^(L-1)) f. P is
-built by pushing the q x q identity through L steps of ``window_step``,
-with the certificate B_L = max_{0 <= k < L} |A^k| taken entrywise. Since
-|A^k f| <= B_L |f|, a block whose bound (B_L |f|)[j] max_y |g[j, y]|
-stays below the guard cannot trip it.
+is cut into blocks of L steps and a last, partial one.
 
-The full steady blocks are swept by doubling, the transfer-tensor view of
-Cerrillo and Cao, PRL 112, 110401 (2014): step j appends the rows so far
-times P^(2^j) to the table of start windows P^i f, so 2^d blocks take d
-products; the squared powers are built once per run, and two batched
-products give every block's sample and bound. The first block whose bound
-fails or is not finite is stepped, so the guard trips at the same step as
-a per-step run would; the sweep resumes after it, its chunks regrown from
-the certified prefix. The window after a prefix is one jump from its last
-row: squared powers may overflow where the run does not. A chunk of 2^d
-blocks holds 2^d rows of q entries and d powers of q^2,
-2^d q^2 <= ``SWEEP_BUDGET``: the whole paper run at q = 4, 16 blocks at
-q = 256.
-
-``_jump_pays`` prices sweeping and stepping with a cost model in q, L,
-the number of full steady blocks and the chunks they fill. It steps every
-block at M >= 5, where two blocks overflow a chunk, blocks of up to 3 steps
-at M = 4, and runs of fewer than two full steady blocks.
+A has four slow modes, the reduced density matrix's own one-step map;
+the others decay within a few dozen steps (the transfer-tensor picture of
+Cerrillo and Cao, PRL 112, 110401 (2014)). ``_slow_modes`` finds an
+orthonormal basis X of them and their coordinates P. The ramp and the
+transient are stepped up to the first block boundary where the window f
+lies in span X; from there f = X y. Pushing X through L steps gives the
+4 x 4 block map H_L = P A^L X, the sample map S = R A^(L-1) X and the
+bound W_L = max_y |g| max_{j<L} |A^j X|. ``_sweep`` lists the block start
+windows y_{i+1} = H_L y_i by doubling, and each sample is S y_i. Since
+|A^j X y| <= |A^j X| |y|, a block with (W_L |y_i|).max() below the guard
+cannot trip it. The first block that fails is stepped from X y_i, and so
+is every later block, so the guard trips at the same step as a per-step
+run. The partial last block is stepped, and so is every block if there
+are no slow modes or the transient does not settle.
 
 Window tensors have 4^(M+1) entries, so the memory span is capped at
 ``SPAN_CAP``, the same bound as the path length of the path sum.
@@ -79,28 +70,16 @@ SPAN_CAP = 10
 ROW_CAP = 2 ** 24
 
 # A certified block's bound must sit this far below the guard, relative,
-# to absorb the rounding difference between the jump and the steps.
+# to absorb the rounding difference between the walk and the steps.
 CERTIFICATE_MARGIN = 1e-12
 
-# Cost model of a run of blocks of L steps on a q-entry folded window, in
-# seconds on one BLAS thread. Each numpy round trip costs CALL_OVERHEAD.
-# Once per block length, building A^L costs BUILD_PER_ENTRY per matrix
-# entry for each of the L steps, and each squared power SQUARE_PER_ENTRY
-# per multiply-add. A sweep chunk costs its products and CHUNK_CALLS more
-# round trips, and each block JUMP_PER_ENTRY per entry of the q x q
-# matrices; one plain step costs STEP_PER_ENTRY per window entry. Every
-# block is stepped unless a chunk of two blocks fits SWEEP_BUDGET, q <= 256:
-# above that the matrices no longer fit in cache, and the build needs
-# several q x q temporaries (16 MB each at q = 4^5).
-CALL_OVERHEAD = 8e-6
-BUILD_PER_ENTRY = 6e-9
-SQUARE_PER_ENTRY = 1.2e-10
-CHUNK_CALLS = 12
-JUMP_PER_ENTRY = 5e-10
-STEP_PER_ENTRY = 2e-8
-
-# A sweep chunk of 2^d blocks, d >= 1, has 2^d q^2 <= SWEEP_BUDGET.
-SWEEP_BUDGET = 2 ** 20
+# The slow basis has converged, and the transient settled, once A X, or the
+# window, lies in span X to this relative norm.
+SLOW_TOL = 1e-14
+# Orthogonal iterations before the slow basis is given up.
+SLOW_ITERATIONS = 100
+# Largest slow eigenvalue modulus for which the blocks are walked.
+SLOW_RADIUS = 1.0 + 1e-12
 
 
 def backend_name() -> str:
@@ -231,59 +210,87 @@ def build_transfer_tensor(propagator: PropagatorK, table: EtaTable) -> TransferT
                           step=_step_factor(m, propagator.tensor, table))
 
 
-def _chunk_blocks(q):
-    """Blocks per sweep chunk: the largest 2^d with 2^d q^2 <= SWEEP_BUDGET, d >= 1."""
-    return 1 << max(1, (SWEEP_BUDGET // (q * q)).bit_length() - 1)
-
-
-def _jump_pays(length, q, count):
-    """Whether ``count`` >= 2 steady blocks of ``length`` steps are cheaper swept than stepped."""
-    if 2 * q * q > SWEEP_BUDGET:
-        return False
-    chunk = min(count, _chunk_blocks(q))
-    depth = (chunk - 1).bit_length()
-    build = (length * (CALL_OVERHEAD + q * q * BUILD_PER_ENTRY)
-             + max(depth - 1, 0) * (CALL_OVERHEAD + q ** 3 * SQUARE_PER_ENTRY))
-    sweep = (-(-count // chunk) * (depth + CHUNK_CALLS) * CALL_OVERHEAD
-             + count * q * q * JUMP_PER_ENTRY)
-    step = count * length * (CALL_OVERHEAD + q * STEP_PER_ENTRY)
-    return build + sweep < step
-
-
-def _jump_plan(g2d, c2d, length):
-    """(R A^(L-1))^T, (max_y|g| B_L)^T and the squared powers [(A^L)^T] for L = ``length``.
-
-    Pushes the identity through L steps. Returns None if a matrix is not
-    finite, so the blocks are stepped.
-    """
+def _adjoint_step(e, g2d):
+    """``window_step``'s adjoint: entry a q/4 + r sums conj(g[a q/4 + r, y]) e[4r + y] over y."""
     q = g2d.shape[0]
-    power = np.eye(q, dtype=np.complex128)
-    bound = np.eye(q)
+    g_ray = g2d.reshape(4, q // 4, 4).transpose(1, 0, 2).conj()
+    return np.matmul(g_ray, e.reshape(q // 4, 4, -1)).transpose(1, 0, 2).reshape(e.shape)
+
+
+def _coordinates(x, p, z):
+    """Coordinates p z of z on span X, and whether z lies in span X to ``SLOW_TOL``."""
+    y = p @ z
+    return y, np.linalg.norm(z - x @ y) <= SLOW_TOL * np.linalg.norm(z)
+
+
+def _slow_modes(g2d):
+    """(X, P): an orthonormal (q, 4) basis X of A's slow modes and their coordinates P.
+
+    Orthogonal iteration from the first four columns of the identity until
+    A X lies in span X; W takes as many steps with A^H. P = (W^H X)^-1 W^H,
+    so X P projects along the fast modes. None if X^H A X is not finite or
+    has an eigenvalue above ``SLOW_RADIUS``, or after ``SLOW_ITERATIONS``.
+    """
+    x = w = np.eye(g2d.shape[0], 4, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        for _ in range(length - 1):
-            power = window_step(power, g2d)
-            np.maximum(bound, np.abs(power), out=bound)
-        sample = (g2d * c2d).T @ power
+        for _ in range(SLOW_ITERATIONS):
+            z = window_step(x, g2d)
+            h, settled = _coordinates(x, x.conj().T, z)
+            if not np.isfinite(h).all():
+                return None
+            if settled:
+                if np.abs(np.linalg.eigvals(h)).max() > SLOW_RADIUS:
+                    return None
+                return x, np.linalg.solve(w.conj().T @ x, w.conj().T)
+            x = np.linalg.qr(z)[0]
+            w = np.linalg.qr(_adjoint_step(w, g2d))[0]
+    return None
+
+
+def _block_map(x, p, g2d, c2d, length):
+    """H_L = P A^L X, S = R A^(L-1) X and W_L = max_y|g| max_{j<L} |A^j X| for L = ``length``."""
+    power = x
+    peak = np.abs(x)
+    for _ in range(length - 1):
         power = window_step(power, g2d)
-        scaled = np.abs(g2d).max(axis=1)[:, None] * bound
-    if not all(np.isfinite(a).all() for a in (sample, power, scaled)):
-        return None
-    return sample.T, scaled.T, [power.T]
+        np.maximum(peak, np.abs(power), out=peak)
+    sample = (g2d * c2d).T @ power
+    power = window_step(power, g2d)
+    return p @ power, sample, np.abs(g2d).max(axis=1)[:, None] * peak
 
 
-def _sweep(f, squares, k):
-    """Rows (P^i f)^T for i = 0..k, from the squared powers squares[j] = (P^(2^j))^T.
+def _certified(rows, bound, limit):
+    """Number of leading block start windows y (rows) with (W_L |y|).max() <= limit.
 
-    Doubling j fills the next rows with the rows so far times squares[j],
-    one product each, so the k + 1 rows take k.bit_length() products.
+    The uniform bound W_L u, u_k = hypot(max_i |Re y_ik|, max_i |Im y_ik|)
+    >= |y_ik|, certifies all rows at once; where it fails, each half is
+    checked in turn, down to single rows.
+    """
+    top = np.abs(rows.view(np.float64)).max(axis=0).reshape(-1, 2)
+    if (bound @ np.hypot(top[:, 0], top[:, 1])).max() <= limit:
+        return len(rows)
+    if len(rows) == 1:
+        return 0
+    half = len(rows) // 2
+    n = _certified(rows[:half], bound, limit)
+    return n if n < half else half + _certified(rows[half:], bound, limit)
+
+
+def _sweep(f, power, k):
+    """Rows (H^i f)^T for i = 0..k, from power = H^T.
+
+    Doubling j fills the next rows with the rows so far times (H^(2^j))^T,
+    then squares it, so the k + 1 rows take k.bit_length() products.
     """
     rows = np.empty((k + 1, f.size), dtype=np.complex128)
     rows[0] = f
     width = 1
-    for square in squares[:k.bit_length()]:
+    while width <= k:
         n = min(width, k + 1 - width)
-        np.matmul(rows[:n], square, out=rows[width:width + n])
+        np.matmul(rows[:n], power, out=rows[width:width + n])
         width += n
+        if width <= k:
+            power = power @ power
     return rows
 
 
@@ -320,46 +327,40 @@ def evolve_window(rho0v, transfer, table, n_steps, every, guard):
     """Iterate the window from the initial 4-vector ``rho0v`` at step 0.
 
     Returns the corrected 4-vector readouts at the steps every, 2 every, ...
-    and n_steps, one row each. The full steady blocks, those starting at or
-    after step M, may be swept; all other blocks are stepped.
+    and n_steps, one row each. Blocks are stepped until the window settles
+    on the slow modes; the full blocks from there on are walked on them.
     """
     m = transfer.dk_max
-    q = 4 ** m
-    n_blocks = -(-n_steps // every)
-    # the full steady blocks are first .. stop - 1
-    first, stop = -(-m // every), n_steps // every
+    n_blocks, full = -(-n_steps // every), n_steps // every
     correction = _readout_factor(m + 1, table) if n_steps > m else None
-    plan = None
-    if stop - first >= 2 and _jump_pays(every, q, stop - first):
-        plan = _jump_plan(transfer.step, correction, every)
-    chunk = span = _chunk_blocks(q)
-    limit = guard * (1.0 - CERTIFICATE_MARGIN)
+    # a walk starts at a block boundary at or after step M with a full block after it
+    modes = _slow_modes(transfer.step) if (full - 1) * every >= m else None
 
     f = rho0v
-    samples = np.zeros((n_blocks, 4), dtype=np.complex128)
+    samples = np.empty((n_blocks, 4), dtype=np.complex128)
     i = 0
     while i < n_blocks:
-        if plan is not None and first <= i < stop:
-            readout, scaled, squares = plan
-            k = min(stop - i, span)
-            with np.errstate(all="ignore"):
-                while len(squares) < (k - 1).bit_length():
-                    squares.append(squares[-1] @ squares[-1])
-                rows = _sweep(f, squares, k - 1)
-                certified = (np.abs(rows) @ scaled).max(axis=1) <= limit
-            n = k if certified.all() else int(certified.argmin())
-            if n:
-                samples[i:i + n] = rows[:n] @ readout
-                f = rows[n - 1] @ squares[0]
-                i += n
-            # after a failed block, the chunks regrow from the certified prefix
-            span = min(2 * span, chunk) if n == k else max(n, 1)
-            if n == k:
+        if modes is not None and i * every >= m and i < full:
+            x, p = modes
+            y, settled = _coordinates(x, p, f)
+            if settled:
+                h, sample, bound = _block_map(x, p, transfer.step, correction, every)
+                rows = _sweep(y, h.T, full - i)
+                n = _certified(rows[:-1], bound, guard * (1.0 - CERTIFICATE_MARGIN))
+                samples[i:i + n] = rows[:n] @ sample.T
+                f, i, modes = x @ rows[n], i + n, None
                 continue
         f, samples[i] = _step_block(f, transfer, table, correction,
                                     i * every, min(i * every + every, n_steps), guard)
         i += 1
     return samples
+
+
+def check_row_cap(n_steps: int, sample_every: int) -> None:
+    """Raises CapacityError above ``ROW_CAP`` samples: t = 0, every ``sample_every``, n_steps."""
+    rows = -(-n_steps // sample_every) + 1
+    if rows > ROW_CAP:
+        raise CapacityError(f"trajectory capped at {ROW_CAP} samples, got {rows}")
 
 
 def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
@@ -377,9 +378,7 @@ def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
     if sample_every < 1:
         raise ConfigError(f"sample_every must be >= 1, got {sample_every}")
-    rows = -(-n_steps // sample_every) + 1
-    if rows > ROW_CAP:
-        raise CapacityError(f"trajectory capped at {ROW_CAP} samples, got {rows}")
+    check_row_cap(n_steps, sample_every)
     rho0 = validate_density_matrix(rho0)
 
     samples = evolve_window(rho0.reshape(4), transfer, table, n_steps, sample_every,

@@ -234,6 +234,16 @@ class TestRowCap:
         assert not out_file.exists()
         assert peak < 2 ** 20
 
+    def test_oversized_evolve_writes_no_eta_dump(self, tmp_path, capsys):
+        out_file = tmp_path / "t.csv"
+        eta_file = tmp_path / "e.csv"
+        code, _, err = run_cli(capsys, "evolve", "--t-max-ps", "1e13", "--sample-every", "1",
+                               "--output", str(out_file), "--dump-eta", str(eta_file))
+        assert code == EXIT_CONFIG
+        assert f"capped at {ROW_CAP}" in err
+        assert not eta_file.exists()
+        assert not out_file.exists()
+
     def test_cap_counts_every_row(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("jcqsim.cli.ROW_CAP", 11)
         out_file = tmp_path / "gamma.csv"

@@ -215,7 +215,7 @@ class TestGuardsAndErrors:
             patch.setattr(itm, "evolve_window", per_step_evolve_window)
             with pytest.raises(InstabilityError) as expected:
                 propagate(initial_state("plus"), transfer, bad, 1000, sample_every=100)
-        # the overflowing block powers are discarded without a RuntimeWarning
+        # the amplifying step's slow modes are rejected without a RuntimeWarning
         with warnings.catch_warnings(), pytest.raises(InstabilityError) as info:
             warnings.simplefilter("error")
             propagate(initial_state("plus"), transfer, bad, 1000, sample_every=100)

@@ -1,4 +1,4 @@
-"""The window kernel, ramp and steady blocks, against a per-step reference."""
+"""The window kernel, ramp, transient and slow-mode walk, against a per-step reference."""
 
 import dataclasses
 import functools
@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from jcqsim import itm
-from jcqsim.analysis import step_count
-from jcqsim import (InstabilityError, build_transfer_tensor, eta_coefficients,
+from jcqsim.analysis import fit_decay, step_count
+from jcqsim import (InstabilityError, OhmicBath, build_transfer_tensor, eta_coefficients,
                     initial_state, propagate, short_time_propagator)
 from jcqsim.influence import COUPLING_WEIGHT, EtaTable
 from jcqsim.units import HBAR
@@ -25,6 +25,10 @@ GROWTH = 8e-4
 N_GROWING = 78 * 64
 # the paper's run: 3 us in steps of DT
 N_PAPER = step_count(3.0e6, DT)
+# tau2 of the paper's run from the 4 x 4 slow map's coherence eigenvalue
+SLOW_MAP_TAU2_US = {5: 0.998808, 6: 1.006883}
+# steps past the ramp after which the paper point's window lies on the slow modes
+TRANSIENT = 64
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +49,9 @@ def growing(paper_qubit, steady):
 
     At the paper point the first ramp step holds the largest entry of the
     run; here the entries grow past it and peak inside the last 64-step
-    block, so a guard at that peak trips in a steady block.
+    block, so a guard at that peak trips in a steady block. The slow
+    eigenvalues exceed modulus 1, so the blocks are walked only under
+    ``walk_growth``.
     """
 
     @functools.cache
@@ -59,25 +65,24 @@ def growing(paper_qubit, steady):
 
 
 @pytest.fixture
-def routes(monkeypatch):
-    """Block lengths the kernel built jumps for, and the lengths of steady blocks it stepped."""
-    built, stepped = [], []
-    build, step = itm._jump_plan, itm._step_block
+def walk_growth(monkeypatch):
+    """Walks the growing runs: their slow eigenvalues, about 1.0008, pass the radius check."""
+    monkeypatch.setattr(itm, "SLOW_RADIUS", 1.01)
 
-    def spy_build(g2d, c2d, length):
-        plan = build(g2d, c2d, length)
-        if plan is not None:
-            built.append(length)
-        return plan
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """(start, end) of every block the kernel stepped that starts at or after step M."""
+    blocks = []
+    step = itm._step_block
 
     def spy_step(f, transfer, table, correction, start, end, guard):
         if start >= transfer.dk_max:
-            stepped.append(end - start)
+            blocks.append((start, end))
         return step(f, transfer, table, correction, start, end, guard)
 
-    monkeypatch.setattr(itm, "_jump_plan", spy_build)
     monkeypatch.setattr(itm, "_step_block", spy_step)
-    return built, stepped
+    return blocks
 
 
 def per_step_propagate(monkeypatch, *args, **kwargs):
@@ -100,6 +105,18 @@ def kernel_inputs(monkeypatch, transfer, table, sample_every, n_steps=N_STEPS):
     return calls[0]
 
 
+def run_peak(args):
+    """Largest window entry of a run with the given evolve_window arguments, ramp included."""
+    rho0v, transfer, table = args[:3]
+    steady = []
+    per_step_evolve_window(*args, peak=steady)
+    f, top = rho0v, 0.0
+    for n in range(transfer.dk_max):
+        e2d = f[:, None] * itm._step_factor(n, transfer.k_tensor, table)
+        f, top = e2d.ravel(), max(top, np.abs(e2d).max())
+    return max(top, *steady)
+
+
 def amplifying_table(dk_max, eta_self_interior):
     # a negative real self term makes every step grow the window
     zeros = np.zeros(dk_max, dtype=complex)
@@ -117,13 +134,13 @@ def test_backend_name():
     pytest.param(1, N_STEPS, id="1"),
     pytest.param(7, N_STEPS, id="7"),
     pytest.param(64, N_STEPS, id="64"),
-    # the last block is full and swept with the others
+    # the last block is full and walked with the others
     pytest.param(64, N_GROWING, id="64-full-last"),
     # one block, stepped from step 0
     pytest.param(N_STEPS + 1, N_STEPS, id="one-block"),
 ])
-@pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
-def test_jump_route_matches_per_step(monkeypatch, routes, steady, dk_max, every, n_steps):
+@pytest.mark.parametrize("dk_max", [1, 2, 3, 4, 5])
+def test_jump_route_matches_per_step(monkeypatch, stepped, steady, dk_max, every, n_steps):
     transfer, table = steady(dk_max)
     rho0 = initial_state("zero")
     reference = per_step_propagate(monkeypatch, rho0, transfer, table, n_steps,
@@ -131,20 +148,16 @@ def test_jump_route_matches_per_step(monkeypatch, routes, steady, dk_max, every,
     traj = propagate(rho0, transfer, table, n_steps, sample_every=every)
     np.testing.assert_array_equal(traj.times, reference.times)
     assert np.abs(traj.rhos - reference.rhos).max() <= 1e-11
-    built, stepped = routes
-    if every > n_steps:
-        # the one block starts in the ramp
-        assert built == stepped == []
-    elif every > 1:
-        assert every in built
-        # of the steady blocks only a partial last one is stepped
-        assert stepped == ([n_steps % every] if n_steps % every else [])
-    # at the default guard no physical block falls back to stepping
-    assert not set(built) & set(stepped)
+    # of the steady blocks only the transient, within TRANSIENT steps of the
+    # ramp, and a partial last block are stepped
+    partial = n_steps % every if every <= n_steps else 0
+    full = [start for start, end in stepped if end - start == every]
+    assert all(start < dk_max + TRANSIENT for start in full)
+    assert (stepped[-1:] == [(n_steps - partial, n_steps)]) == bool(partial)
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
-def test_failed_certificate_steps_block(monkeypatch, routes, growing, dk_max):
+def test_failed_certificate_steps_block(monkeypatch, walk_growth, stepped, growing, dk_max):
     args = kernel_inputs(monkeypatch, *growing(dk_max), sample_every=64, n_steps=N_GROWING)
     peak = []
     per_step_evolve_window(*args, peak=peak)
@@ -152,37 +165,27 @@ def test_failed_certificate_steps_block(monkeypatch, routes, growing, dk_max):
     expected = per_step_evolve_window(*args, guard=guard)
     samples = itm.evolve_window(*args, guard=guard)
     assert np.abs(samples - expected).max() <= 1e-11
-    built, stepped = routes
-    assert 64 in built and 64 in stepped
+    # the walk certifies the blocks before the first that fails; that block
+    # and every block after it are stepped
+    starts = [start for start, _ in stepped]
+    assert starts == list(range(starts[0], N_GROWING, 64))
+    assert 64 < starts[0] < N_GROWING - 64
 
 
-def test_certificate_decides_per_block(monkeypatch, routes, steady):
-    # between the true peak and the largest block bound: some blocks jump, some step
-    args = kernel_inputs(monkeypatch, *steady(2), sample_every=64)
-    peak = []
-    per_step_evolve_window(*args, peak=peak)
-    guard = 2.0 * peak[0]
-    swept = []
-    sweep = itm._sweep
-
-    def spy_sweep(f, squares, k):
-        swept.append(k + 1)
-        return sweep(f, squares, k)
-
-    monkeypatch.setattr(itm, "_sweep", spy_sweep)
-    expected = per_step_evolve_window(*args, guard=guard)
-    samples = itm.evolve_window(*args, guard=guard)
-    assert np.abs(samples - expected).max() <= 1e-11
-    _, stepped = routes
-    full_blocks = N_STEPS // 64 - 1  # the first block starts in the ramp, the last is shorter
-    assert 0 < stepped.count(64) < full_blocks
-    # after each failed block the chunks regrow from the certified prefix, so
-    # the rows swept stay within a few times the blocks, not one chunk a failure
-    assert sum(swept) <= 3 * full_blocks
+@pytest.mark.parametrize("bad", [None, 0, 2, 4])
+def test_certificate_decides_per_block(bad):
+    # one bound row over all four coordinates: every window alone stays
+    # within the limit, but not their entrywise maximum
+    bound = np.ones((1, 4))
+    rows = np.tile(np.eye(4, dtype=complex), (2, 1))[:5]
+    if bad is not None:
+        rows[bad, 3 - bad % 4] = 1j
+    assert itm._certified(rows, bound, 1.0) == (5 if bad is None else bad)
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
-def test_guard_just_below_peak_trips_at_reference_step(monkeypatch, growing, dk_max):
+def test_guard_just_below_peak_trips_at_reference_step(monkeypatch, walk_growth, growing,
+                                                       dk_max):
     args = kernel_inputs(monkeypatch, *growing(dk_max), sample_every=64, n_steps=N_GROWING)
     peak = []
     per_step_evolve_window(*args, peak=peak)
@@ -196,8 +199,7 @@ def test_guard_just_below_peak_trips_at_reference_step(monkeypatch, growing, dk_
 
 @pytest.mark.parametrize("every", [7, 64])
 @pytest.mark.parametrize("dk_max", [1, 2, 3])
-def test_amplifying_run_trips_at_reference_step(monkeypatch, routes, paper_qubit,
-                                                dk_max, every):
+def test_amplifying_run_trips_at_reference_step(monkeypatch, paper_qubit, dk_max, every):
     table = amplifying_table(dk_max, -10.0)
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
     rho0 = initial_state("plus")
@@ -206,23 +208,90 @@ def test_amplifying_run_trips_at_reference_step(monkeypatch, routes, paper_qubit
     with pytest.raises(InstabilityError) as got:
         propagate(rho0, transfer, table, 1000, sample_every=every)
     assert got.value.step == expected.value.step > every
-    built, _ = routes
-    assert every in built
+    # a slow eigenvalue above SLOW_RADIUS: every block is stepped
+    assert itm._slow_modes(transfer.step) is None
 
 
 def test_non_finite_powers_are_stepped(paper_qubit):
-    # the powers of a violently amplifying step overflow within the block
+    # a violently amplifying step, and one with an infinite entry, have no
+    # slow modes to walk; neither warns
     table = amplifying_table(1, -40000.0)
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
-    correction = np.ones_like(transfer.step)
+    infinite = transfer.step.copy()
+    infinite[0, 0] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert itm._jump_plan(transfer.step, correction, 1) is not None
-        assert itm._jump_plan(transfer.step, correction, 100) is None
+        assert itm._slow_modes(transfer.step) is None
+        assert itm._slow_modes(infinite) is None
+
+
+def test_slow_basis_at_memory_span_1_is_identity(steady):
+    # at q = 4 the slow subspace is the whole window: no QR, and X = P = I
+    transfer, _ = steady(1)
+    x, p = itm._slow_modes(transfer.step)
+    np.testing.assert_array_equal(x, np.eye(4))
+    np.testing.assert_array_equal(p, np.eye(4))
+
+
+@pytest.mark.parametrize("dk_max", [2, 3, 4, 5])
+def test_slow_modes_span_the_steady_map(steady, dk_max):
+    # A X = X H to rounding, and X P projects along the fast modes: P X = I
+    # and P A = H P, so the walk drops no slow part of a fast component
+    transfer, _ = steady(dk_max)
+    x, p = itm._slow_modes(transfer.step)
+    ax = itm.window_step(x, transfer.step)
+    assert np.abs(ax - x @ (p @ ax)).max() <= 1e-14
+    np.testing.assert_allclose(p @ x, np.eye(4), atol=1e-12)
+    windows = np.random.default_rng(dk_max).normal(size=(4 ** dk_max, 2)) + 0j
+    drift = p @ itm.window_step(windows, transfer.step) - (p @ ax) @ (p @ windows)
+    assert np.abs(drift).max() <= 1e-12 * np.abs(windows).sum(axis=0).max()
+    radii = np.sort(np.abs(np.linalg.eigvals(p @ ax)))
+    assert radii[-1] == pytest.approx(1.0, abs=1e-12)
+    assert radii[0] > 0.9999
+
+
+def test_block_bound_is_the_block_peak_at_memory_span_1(growing):
+    # at q = 4, X = I: the bound of a block started from a basis window is the
+    # block's largest entry, which the growth puts at its last step
+    transfer, table = growing(1)
+    correction = itm._readout_factor(2, table)
+    basis = np.eye(4, dtype=complex)
+    _, _, bound = itm._block_map(basis, basis, transfer.step, correction, 64)
+    for k in range(4):
+        f, peak = basis[k], 0.0
+        for _ in range(64):
+            e2d = f[:, None] * transfer.step
+            f, peak = e2d.reshape(4, -1).sum(axis=0), max(peak, np.abs(e2d).max())
+        assert bound[:, k].max() == pytest.approx(peak, rel=1e-12)
+
+
+@pytest.mark.parametrize("dk_max", [2, 3, 4])
+def test_walk_waits_for_the_transient(monkeypatch, paper_qubit, dk_max):
+    # at strong coupling the fast modes show in the samples: walked from the
+    # first step past the ramp, these samples would be off by up to 5e-9
+    bath = OhmicBath(alpha=1e-3, omega_c=5.0, temperature=30.0)
+    table = eta_coefficients(bath, 2.0, 300, dk_max)
+    transfer = build_transfer_tensor(short_time_propagator(paper_qubit, 2.0), table)
+    rho0 = initial_state("plus")
+    reference = per_step_propagate(monkeypatch, rho0, transfer, table, 300, sample_every=1)
+    traj = propagate(rho0, transfer, table, 300, sample_every=1)
+    assert np.abs(traj.rhos - reference.rhos).max() <= 1e-11
+
+
+@pytest.mark.parametrize("dk_max", [3, 4])
+def test_tight_guard_walks_every_steady_block(monkeypatch, stepped, steady, dk_max):
+    # the (q, 4) bound reads a little over each block's true peak, so a guard at
+    # 1.5 times the run's peak certifies every walked block
+    args = kernel_inputs(monkeypatch, *steady(dk_max), sample_every=64)
+    guard = 1.5 * run_peak(args)
+    expected = per_step_evolve_window(*args, guard=guard)
+    samples = itm.evolve_window(*args, guard=guard)
+    assert np.abs(samples - expected).max() <= 1e-11
+    assert [end - start for start, end in stepped] == [N_STEPS % 64]
 
 
 class CountedMatrix(np.ndarray):
-    """A power of the steady map that counts the matrix products it takes part in.
+    """A power of the block map that counts the matrix products it takes part in.
 
     A product of two such powers is a squaring and yields another counted
     power; a product with anything else is a product with windows.
@@ -245,52 +314,50 @@ class CountedMatrix(np.ndarray):
 @pytest.mark.parametrize("top", ["0", "1", "2^d-1", "2^d", "2^d+1"])
 @pytest.mark.parametrize("dk_max", [1, 4])
 def test_sweep_matches_repeated_jumps(steady, dk_max, top):
-    # a full chunk of 2^d blocks sweeps the rows 0 .. 2^d - 1
-    full = itm._chunk_blocks(4 ** dk_max) - 1
-    k = {"0": 0, "1": 1, "2^d-1": full, "2^d": full + 1, "2^d+1": full + 2}[top]
+    # 2^d = 64 blocks: rows 0 .. 2^d - 1 take d products
+    k = {"0": 0, "1": 1, "2^d-1": 63, "2^d": 64, "2^d+1": 65}[top]
     transfer, table = steady(dk_max)
     correction = itm._readout_factor(dk_max + 1, table)
-    _, _, squares = itm._jump_plan(transfer.step, correction, 64)
-    while len(squares) < k.bit_length():
-        squares.append(squares[-1] @ squares[-1])
-    f = np.random.default_rng(k).normal(size=4 ** dk_max) * 0.1 + 0j
-    rows = itm._sweep(f, squares, k)
-    expected = [f]
+    h, _, _ = itm._block_map(*itm._slow_modes(transfer.step), transfer.step, correction, 64)
+    y = np.random.default_rng(k).normal(size=4) * 0.1 + 0j
+    rows = itm._sweep(y, h.T, k)
+    expected = [y]
     for _ in range(k):
-        expected.append(expected[-1] @ squares[0])
-    assert rows.shape == (k + 1, f.size)
+        expected.append(expected[-1] @ h.T)
+    assert rows.shape == (k + 1, 4)
     assert np.abs(rows - np.array(expected)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("dk_max", [1, 2])
-def test_certificate_fails_inside_chunk(monkeypatch, growing, dk_max):
-    # the 76 steady blocks fit one chunk, and the guard sits just above the
-    # peak of the last block: the sweep certifies a prefix of the chunk (at
-    # dk_max 3 the bound is too loose to certify the first block, and at 4 a
-    # chunk holds 16 blocks)
-    assert itm._chunk_blocks(4 ** dk_max) > N_GROWING // 64
+def test_certificate_fails_inside_chunk(monkeypatch, walk_growth, growing, dk_max):
+    # the uniform bound fails on the walked blocks; halving finds the first
+    # block whose own bound fails
     args = kernel_inputs(monkeypatch, *growing(dk_max), sample_every=64, n_steps=N_GROWING)
     peak = []
     per_step_evolve_window(*args, peak=peak)
     guard = peak[0] * (1 + 1e-9)
-    stepped = []
-    step = itm._step_block
+    certified = []
+    check = itm._certified
 
-    def spy_step(f, transfer, table, correction, start, end, guard):
-        if start >= transfer.dk_max:
-            stepped.append(start)
-        return step(f, transfer, table, correction, start, end, guard)
+    def spy_check(rows, bound, limit):
+        # the halves go through the spy too; the whole walk returns last
+        n = check(rows, bound, limit)
+        ok = (np.abs(rows) @ bound.T).max(axis=1) <= limit
+        certified.append((n, int(ok.argmin()), len(rows)))
+        return n
 
-    monkeypatch.setattr(itm, "_step_block", spy_step)
-    expected = per_step_evolve_window(*args, guard=guard)
+    monkeypatch.setattr(itm, "_certified", spy_check)
     samples = itm.evolve_window(*args, guard=guard)
-    assert np.abs(samples - expected).max() <= 1e-11
-    assert stepped and min(stepped) > 64
+    assert len(certified) > 1
+    n, first_failure, walked = certified[-1]
+    assert 0 < n == first_failure < walked
+    assert np.abs(samples - per_step_evolve_window(*args, guard=guard)).max() <= 1e-11
 
 
 def test_steady_sweep_memory(steady):
-    # q = 256: chunks of 16 blocks, four squared powers of 1 MiB each; the
-    # per-jump route before the sweep peaked at 4.56 MiB here
+    # q = 256: the walk holds (q, 4) blocks and 4 x 4 powers and peaks at
+    # 0.125 MiB; the doubling sweep of 256 x 256 powers before it took
+    # 4.67 MiB, and checking the bound as one (blocks, q) array 0.226 MiB
     transfer, table = steady(4)
     rho0 = initial_state("zero")
     propagate(rho0, transfer, table, N_STEPS, sample_every=64)
@@ -300,28 +367,25 @@ def test_steady_sweep_memory(steady):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5.5 * 2**20
+    assert peak < 0.175 * 2**20
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Makes the kernel's powers of the steady map CountedMatrix and resets the counts."""
-    build = itm._jump_plan
+    """Makes the kernel's block map H_L a CountedMatrix and resets the counts."""
+    block_map = itm._block_map
 
-    def spy_build(g2d, c2d, length):
-        plan = build(g2d, c2d, length)
-        if plan is None:
-            return None
-        readout, scaled, powers = plan
-        return readout, scaled, [power.view(CountedMatrix) for power in powers]
+    def spy_block_map(*args):
+        h, sample, bound = block_map(*args)
+        return h.view(CountedMatrix), sample, bound
 
-    monkeypatch.setattr(itm, "_jump_plan", spy_build)
+    monkeypatch.setattr(itm, "_block_map", spy_block_map)
     CountedMatrix.window_products = CountedMatrix.squarings = 0
     return CountedMatrix
 
 
 def test_paper_run_sweeps_in_log_products(counted, paper_bath, paper_qubit):
-    # every product on the steady path takes a power of the steady map
+    # every product on the walk takes a power of the block map
     table = eta_coefficients(paper_bath, DT, N_PAPER, 1)
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
     traj = propagate(initial_state("zero"), transfer, table, N_PAPER, sample_every=64)
@@ -332,9 +396,19 @@ def test_paper_run_sweeps_in_log_products(counted, paper_bath, paper_qubit):
 
 
 def test_squared_powers_built_once(counted, steady):
-    # 77 steady 64-step blocks in chunks of 16 at dk_max 4: P^2, P^4 and P^8
+    # 77 walked 64-step blocks at dk_max 4: H_L^2 .. H_L^64, then one
+    # product per doubling
     transfer, table = steady(4)
     propagate(initial_state("zero"), transfer, table, N_STEPS, sample_every=64)
-    assert itm._chunk_blocks(4 ** 4) == 16
-    assert counted.squarings == 3
-    assert counted.window_products == 5 * (4 + 1)
+    assert counted.squarings == 6
+    assert counted.window_products == 7
+
+
+@pytest.mark.parametrize("dk_max", [5, 6])
+def test_deep_memory_paper_run(paper_bath, paper_qubit, dk_max):
+    # the paper's full run at memory spans the doubling sweep could not reach
+    table = eta_coefficients(paper_bath, DT, N_PAPER, dk_max)
+    transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
+    traj = propagate(initial_state("zero"), transfer, table, N_PAPER, sample_every=64)
+    tau = fit_decay(traj, "im_rho01").tau
+    assert tau == pytest.approx(SLOW_MAP_TAU2_US[dk_max], rel=1e-4)
