@@ -357,7 +357,7 @@ def test_certificate_fails_inside_chunk(monkeypatch, walk_growth, growing, dk_ma
 def test_steady_sweep_memory(steady):
     # q = 256: the walk holds (q, 4) blocks and 4 x 4 powers and peaks at
     # 0.125 MiB; the doubling sweep of 256 x 256 powers before it took
-    # 4.67 MiB, and checking the bound as one (blocks, q) array 0.226 MiB
+    # 4.67 MiB, and checking the bound as one (blocks, q) array 0.22 MiB
     transfer, table = steady(4)
     rho0 = initial_state("zero")
     propagate(rho0, transfer, table, N_STEPS, sample_every=64)
