@@ -26,7 +26,7 @@ class NumericalError(SimulationError):
 
 
 class InstabilityError(NumericalError):
-    """The propagated tensor tripped the explosion guard."""
+    """The steady map grows (raised before step 1) or a sample is not finite."""
 
     def __init__(self, message: str, step: int):
         super().__init__(message)

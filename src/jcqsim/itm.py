@@ -31,20 +31,21 @@ e[j, y] = f[j] g[j, y] folded again: the transpose of
 R[y, j] = g[j, y] c[j, y]. A run that samples every L = ``every`` steps
 is cut into blocks of L steps and a last, partial one.
 
-A has four slow modes, the reduced density matrix's own one-step map;
-the others decay within a few dozen steps (the transfer-tensor picture of
-Cerrillo and Cao, PRL 112, 110401 (2014)). ``_slow_modes`` finds an
-orthonormal basis X of them and their coordinates P. The ramp and the
-transient are stepped up to the first block boundary where the window f
-lies in span X; from there f = X y. Pushing X through L steps gives the
-4 x 4 block map H_L = P A^L X, the sample map S = R A^(L-1) X and the
-bound W_L = max_y |g| max_{j<L} |A^j X|. ``_sweep`` lists the block start
-windows y_{i+1} = H_L y_i by doubling, and each sample is S y_i. Since
-|A^j X y| <= |A^j X| |y|, a block with (W_L |y_i|).max() below the guard
-cannot trip it. The first block that fails is stepped from X y_i, and so
-is every later block, so the guard trips at the same step as a per-step
-run. The partial last block is stepped, and so is every block if there
-are no slow modes or the transient does not settle.
+A has four slow modes, the reduced density matrix's own one-step map; the
+others decay within a few dozen steps (the transfer-tensor picture of
+Cerrillo and Cao, PRL 112, 110401 (2014)). Before step 1 of a run that
+reaches the steady map, ``_slow_modes`` finds an orthonormal basis X of
+them and their coordinates P. X^H A X holds A's largest eigenvalues: if
+it is not finite or its spectral radius exceeds ``SLOW_RADIUS``, A grows
+without bound and the run is refused with InstabilityError at step M + 1.
+The ramp and the transient are stepped up to the first block boundary
+where the window f lies in span X; from there f = X y. Pushing X through
+L steps gives the block map H_L = P A^L X and the sample map
+S = R A^(L-1) X. ``_sweep`` lists the block start windows
+y_{i+1} = H_L y_i by doubling, and each sample is S y_i. The partial last
+block is stepped, and so is every block if the iteration does not
+converge or the transient does not settle. A non-finite sample raises
+InstabilityError at its step.
 
 Window tensors have 4^(M+1) entries, so the memory span is capped at
 ``SPAN_CAP``, the same bound as the path length of the path sum.
@@ -59,8 +60,6 @@ from .influence import (ENDPOINT, INTERIOR, EtaTable, pair_class, pair_factor_ta
                         self_factor_table)
 from .qubit import PropagatorK, QubitParameters, short_time_propagator, validate_density_matrix
 
-DEFAULT_GUARD = 4.0
-
 # Largest memory span M of a transfer tensor and largest path length N of
 # the path sum: a window tensor holds 4^(M + 1) entries, and the path sum
 # enumerates 4^(N + 1) paths.
@@ -69,16 +68,12 @@ SPAN_CAP = 10
 # Largest number of output rows, trajectory samples or response grid points.
 ROW_CAP = 2 ** 24
 
-# A certified block's bound must sit this far below the guard, relative,
-# to absorb the rounding difference between the walk and the steps.
-CERTIFICATE_MARGIN = 1e-12
-
 # The slow basis has converged, and the transient settled, once A X, or the
 # window, lies in span X to this relative norm.
 SLOW_TOL = 1e-14
 # Orthogonal iterations before the slow basis is given up.
 SLOW_ITERATIONS = 100
-# Largest slow eigenvalue modulus for which the blocks are walked.
+# Largest spectral radius of the steady map; above it a run is refused.
 SLOW_RADIUS = 1.0 + 1e-12
 
 
@@ -223,24 +218,28 @@ def _coordinates(x, p, z):
     return y, np.linalg.norm(z - x @ y) <= SLOW_TOL * np.linalg.norm(z)
 
 
-def _slow_modes(g2d):
+def _slow_modes(transfer):
     """(X, P): an orthonormal (q, 4) basis X of A's slow modes and their coordinates P.
 
     Orthogonal iteration from the first four columns of the identity until
     A X lies in span X; W takes as many steps with A^H. P = (W^H X)^-1 W^H,
-    so X P projects along the fast modes. None if X^H A X is not finite or
-    has an eigenvalue above ``SLOW_RADIUS``, or after ``SLOW_ITERATIONS``.
+    so X P projects along the fast modes. None after ``SLOW_ITERATIONS``.
+    Raises InstabilityError at step M + 1, the first steady step, if
+    X^H A X is not finite or its spectral radius exceeds ``SLOW_RADIUS``.
     """
+    g2d, step = transfer.step, transfer.dk_max + 1
     x = w = np.eye(g2d.shape[0], 4, dtype=np.complex128)
     with np.errstate(all="ignore"):
         for _ in range(SLOW_ITERATIONS):
             z = window_step(x, g2d)
             h, settled = _coordinates(x, x.conj().T, z)
             if not np.isfinite(h).all():
-                return None
+                raise InstabilityError(f"steady map is not finite at step {step}", step=step)
             if settled:
-                if np.abs(np.linalg.eigvals(h)).max() > SLOW_RADIUS:
-                    return None
+                radius = np.abs(np.linalg.eigvals(h)).max()
+                if radius > SLOW_RADIUS:
+                    raise InstabilityError(f"steady map grows, spectral radius "
+                                           f"{radius:.12g}, at step {step}", step=step)
                 return x, np.linalg.solve(w.conj().T @ x, w.conj().T)
             x = np.linalg.qr(z)[0]
             w = np.linalg.qr(_adjoint_step(w, g2d))[0]
@@ -248,32 +247,12 @@ def _slow_modes(g2d):
 
 
 def _block_map(x, p, g2d, c2d, length):
-    """H_L = P A^L X, S = R A^(L-1) X and W_L = max_y|g| max_{j<L} |A^j X| for L = ``length``."""
+    """H_L = P A^L X and S = R A^(L-1) X for L = ``length``."""
     power = x
-    peak = np.abs(x)
     for _ in range(length - 1):
         power = window_step(power, g2d)
-        np.maximum(peak, np.abs(power), out=peak)
     sample = (g2d * c2d).T @ power
-    power = window_step(power, g2d)
-    return p @ power, sample, np.abs(g2d).max(axis=1)[:, None] * peak
-
-
-def _certified(rows, bound, limit):
-    """Number of leading block start windows y (rows) with (W_L |y|).max() <= limit.
-
-    The uniform bound W_L u, u_k = hypot(max_i |Re y_ik|, max_i |Im y_ik|)
-    >= |y_ik|, certifies all rows at once; where it fails, each half is
-    checked in turn, down to single rows.
-    """
-    top = np.abs(rows.view(np.float64)).max(axis=0).reshape(-1, 2)
-    if (bound @ np.hypot(top[:, 0], top[:, 1])).max() <= limit:
-        return len(rows)
-    if len(rows) == 1:
-        return 0
-    half = len(rows) // 2
-    n = _certified(rows[:half], bound, limit)
-    return n if n < half else half + _certified(rows[half:], bound, limit)
+    return p @ window_step(power, g2d), sample
 
 
 def _sweep(f, power, k):
@@ -294,15 +273,14 @@ def _sweep(f, power, k):
     return rows
 
 
-def _step_block(f, transfer, table, correction, start, end, guard):
+def _step_block(f, transfer, table, correction, start, end):
     """Steps start+1..end one at a time; returns (f, readout at end).
 
     Ramp steps build their factors at their own width and multiply into
     them; steady steps use the transfer tensor and the steady
     ``correction``. Each window is folded when the next step needs it, and
     the last one after its readout, so the folded copy never sits beside
-    the readout product. Raises InstabilityError at the first step with a
-    window entry above ``guard``.
+    the readout product.
     """
     m = transfer.dk_max
     for n in range(start + 1, end + 1):
@@ -313,8 +291,6 @@ def _step_block(f, transfer, table, correction, start, end, guard):
         else:
             g2d = _step_factor(n - 1, transfer.k_tensor, table)
             e2d = np.multiply(f[:, None], g2d, out=g2d)
-        if np.abs(e2d).max() > guard:
-            raise InstabilityError(f"window tensor exceeded guard {guard} at step {n}", step=n)
     if end > m:
         readout = (e2d * correction).sum(axis=0)
     else:
@@ -323,18 +299,19 @@ def _step_block(f, transfer, table, correction, start, end, guard):
     return (e2d.reshape(4, -1).sum(axis=0) if end >= m else e2d.ravel()), readout
 
 
-def evolve_window(rho0v, transfer, table, n_steps, every, guard):
+@np.errstate(over="ignore", invalid="ignore")
+def evolve_window(rho0v, transfer, table, n_steps, every):
     """Iterate the window from the initial 4-vector ``rho0v`` at step 0.
 
     Returns the corrected 4-vector readouts at the steps every, 2 every, ...
     and n_steps, one row each. Blocks are stepped until the window settles
     on the slow modes; the full blocks from there on are walked on them.
+    Raises InstabilityError from ``_slow_modes``, or at a non-finite sample.
     """
     m = transfer.dk_max
     n_blocks, full = -(-n_steps // every), n_steps // every
     correction = _readout_factor(m + 1, table) if n_steps > m else None
-    # a walk starts at a block boundary at or after step M with a full block after it
-    modes = _slow_modes(transfer.step) if (full - 1) * every >= m else None
+    modes = _slow_modes(transfer) if n_steps > m else None
 
     f = rho0v
     samples = np.empty((n_blocks, 4), dtype=np.complex128)
@@ -344,15 +321,18 @@ def evolve_window(rho0v, transfer, table, n_steps, every, guard):
             x, p = modes
             y, settled = _coordinates(x, p, f)
             if settled:
-                h, sample, bound = _block_map(x, p, transfer.step, correction, every)
+                h, sample = _block_map(x, p, transfer.step, correction, every)
                 rows = _sweep(y, h.T, full - i)
-                n = _certified(rows[:-1], bound, guard * (1.0 - CERTIFICATE_MARGIN))
-                samples[i:i + n] = rows[:n] @ sample.T
-                f, i, modes = x @ rows[n], i + n, None
+                samples[i:full] = rows[:-1] @ sample.T
+                f, i, modes = x @ rows[-1], full, None
                 continue
         f, samples[i] = _step_block(f, transfer, table, correction,
-                                    i * every, min(i * every + every, n_steps), guard)
+                                    i * every, min(i * every + every, n_steps))
         i += 1
+    finite = np.isfinite(samples).all(axis=1)
+    if not finite.all():
+        step = min(int(finite.argmin() + 1) * every, n_steps)
+        raise InstabilityError(f"non-finite density matrix at step {step}", step=step)
     return samples
 
 
@@ -368,8 +348,9 @@ def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
     """Evolve rho0 for n_steps of table.dt, sampling every ``sample_every`` steps.
 
     The t = 0 sample is the initial state itself; the final step is always
-    sampled. Raises InstabilityError if any tensor entry exceeds ``DEFAULT_GUARD``,
-    and CapacityError, before anything is allocated, above ``ROW_CAP`` samples.
+    sampled. Raises InstabilityError before step 1 if the steady map grows,
+    or at the first non-finite sample, and CapacityError above ``ROW_CAP``
+    samples before anything is allocated.
     """
     if transfer.dk_max != table.dk_max:
         raise ConfigError(f"transfer tensor memory span {transfer.dk_max} does not "
@@ -381,8 +362,7 @@ def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
     check_row_cap(n_steps, sample_every)
     rho0 = validate_density_matrix(rho0)
 
-    samples = evolve_window(rho0.reshape(4), transfer, table, n_steps, sample_every,
-                            guard=DEFAULT_GUARD)
+    samples = evolve_window(rho0.reshape(4), transfer, table, n_steps, sample_every)
     steps = np.append(np.arange(0, n_steps, sample_every), n_steps)
     return Trajectory(times=steps * table.dt,
                       rhos=np.concatenate([rho0.reshape(1, 4), samples]).reshape(-1, 2, 2))

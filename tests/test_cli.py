@@ -1,12 +1,19 @@
+import re
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from jcqsim import eta_coefficients
 from jcqsim.analysis import step_count
-from jcqsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, fmt, main
+from jcqsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, RunConfig, fmt,
+                        load_config_file, main, make_parser)
+from jcqsim.influence import EtaTable
 from jcqsim.itm import ROW_CAP
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +151,22 @@ class TestEvolveCommand:
         assert code == EXIT_CONFIG
         assert "dk_max = 10" in err
         assert not eta_file.exists()
+        assert not out_file.exists()
+
+    def test_growing_steady_map_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        # an amplifying self term (negative real part): the steady map is
+        # refused at its first step, before any trajectory is written
+        def amplifying(bath, dt, n_steps, dk_max):
+            zeros = np.zeros(dk_max, dtype=complex)
+            return EtaTable(dt=dt, dk_max=dk_max, eta_self_interior=complex(-10.0, 0.0),
+                            eta_self_end=0j, eta_pair_interior=zeros,
+                            eta_pair_end_interior=zeros, eta_pair_end_end=zeros)
+
+        monkeypatch.setattr("jcqsim.cli.eta_coefficients", amplifying)
+        out_file = tmp_path / "traj.csv"
+        code, _, err = run_cli(capsys, "evolve", "--output", str(out_file))
+        assert code == EXIT_NUMERICAL
+        assert "numerical error" in err and "step 2" in err
         assert not out_file.exists()
 
     def test_12_significant_digits(self, tmp_path, capsys):
@@ -337,3 +360,17 @@ class TestConfigHandling:
         assert code == EXIT_OK
         assert "e_j_ueV = 40" in out
         assert "alpha = 2e-06" in out
+
+    def test_readme_commands_parse(self, tmp_path):
+        # the flags are generated from RunConfig's fields, so renaming one
+        # must show here rather than leave the README stale
+        blocks = re.findall(r"```(?:sh)?\n(.*?)```", README.read_text(), re.S)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(next(block for block in blocks if block.startswith("# run.cfg")))
+        RunConfig(**load_config_file(str(cfg))).validate()
+        commands = [shlex.split(line, comments=True) for block in blocks
+                    for line in block.splitlines() if line.startswith("jcqsim ")]
+        assert len(commands) == 6
+        parser = make_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])

@@ -20,7 +20,7 @@ from oracles import per_step_evolve_window
 DT = 12.707
 N_STEPS = 5003  # a multiple of neither 7 nor 64
 # Growth rate per step of the coherence self factor in the growing runs,
-# and their length: the last block is a full 64-step one.
+# and a run length whose last 64-step block is full.
 GROWTH = 8e-4
 N_GROWING = 78 * 64
 # the paper's run: 3 us in steps of DT
@@ -47,11 +47,8 @@ def steady(paper_bath, paper_qubit):
 def growing(paper_qubit, steady):
     """(transfer, table) as ``steady`` with coherences that gain GROWTH a step.
 
-    At the paper point the first ramp step holds the largest entry of the
-    run; here the entries grow past it and peak inside the last 64-step
-    block, so a guard at that peak trips in a steady block. The slow
-    eigenvalues exceed modulus 1, so the blocks are walked only under
-    ``walk_growth``.
+    The steady map's spectral radius is about 1 + GROWTH, so every run that
+    takes a steady step is refused.
     """
 
     @functools.cache
@@ -65,21 +62,15 @@ def growing(paper_qubit, steady):
 
 
 @pytest.fixture
-def walk_growth(monkeypatch):
-    """Walks the growing runs: their slow eigenvalues, about 1.0008, pass the radius check."""
-    monkeypatch.setattr(itm, "SLOW_RADIUS", 1.01)
-
-
-@pytest.fixture
 def stepped(monkeypatch):
     """(start, end) of every block the kernel stepped that starts at or after step M."""
     blocks = []
     step = itm._step_block
 
-    def spy_step(f, transfer, table, correction, start, end, guard):
+    def spy_step(f, transfer, table, correction, start, end):
         if start >= transfer.dk_max:
             blocks.append((start, end))
-        return step(f, transfer, table, correction, start, end, guard)
+        return step(f, transfer, table, correction, start, end)
 
     monkeypatch.setattr(itm, "_step_block", spy_step)
     return blocks
@@ -89,32 +80,6 @@ def per_step_propagate(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(itm, "evolve_window", per_step_evolve_window)
         return propagate(*args, **kwargs)
-
-
-def kernel_inputs(monkeypatch, transfer, table, sample_every, n_steps=N_STEPS):
-    """The arguments propagate hands to evolve_window for the zero state."""
-    calls = []
-
-    def record(*args, **kwargs):
-        calls.append(args)
-        return per_step_evolve_window(*args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(itm, "evolve_window", record)
-        propagate(initial_state("zero"), transfer, table, n_steps, sample_every=sample_every)
-    return calls[0]
-
-
-def run_peak(args):
-    """Largest window entry of a run with the given evolve_window arguments, ramp included."""
-    rho0v, transfer, table = args[:3]
-    steady = []
-    per_step_evolve_window(*args, peak=steady)
-    f, top = rho0v, 0.0
-    for n in range(transfer.dk_max):
-        e2d = f[:, None] * itm._step_factor(n, transfer.k_tensor, table)
-        f, top = e2d.ravel(), max(top, np.abs(e2d).max())
-    return max(top, *steady)
 
 
 def amplifying_table(dk_max, eta_self_interior):
@@ -157,78 +122,70 @@ def test_jump_route_matches_per_step(monkeypatch, stepped, steady, dk_max, every
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
-def test_failed_certificate_steps_block(monkeypatch, walk_growth, stepped, growing, dk_max):
-    args = kernel_inputs(monkeypatch, *growing(dk_max), sample_every=64, n_steps=N_GROWING)
-    peak = []
-    per_step_evolve_window(*args, peak=peak)
-    guard = peak[0] * (1 + 1e-9)
-    expected = per_step_evolve_window(*args, guard=guard)
-    samples = itm.evolve_window(*args, guard=guard)
-    assert np.abs(samples - expected).max() <= 1e-11
-    # the walk certifies the blocks before the first that fails; that block
-    # and every block after it are stepped
-    starts = [start for start, _ in stepped]
-    assert starts == list(range(starts[0], N_GROWING, 64))
-    assert 64 < starts[0] < N_GROWING - 64
+def test_growing_map_is_refused_before_the_run(stepped, growing, dk_max):
+    # a slow modulus of about 1.0008 is refused at the first steady step,
+    # before any block is stepped or walked
+    transfer, table = growing(dk_max)
+    with pytest.raises(InstabilityError, match="spectral radius 1.0007") as info:
+        propagate(initial_state("zero"), transfer, table, N_GROWING, sample_every=64)
+    assert info.value.step == dk_max + 1
+    assert stepped == []
 
 
-def test_certificate_decides_per_block():
-    # one bound row over all four coordinates: every window alone stays
-    # within the limit, but not their entrywise maximum
-    bound = np.ones((1, 4))
-    for bad in [None, 0, 2, 4]:
-        rows = np.tile(np.eye(4, dtype=complex), (2, 1))[:5]
-        if bad is not None:
-            rows[bad, 3 - bad % 4] = 1j
-        assert itm._certified(rows, bound, 1.0) == (5 if bad is None else bad), bad
-
-
-@pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
-def test_guard_just_below_peak_trips_at_reference_step(monkeypatch, walk_growth, growing,
-                                                       dk_max):
-    args = kernel_inputs(monkeypatch, *growing(dk_max), sample_every=64, n_steps=N_GROWING)
-    peak = []
-    per_step_evolve_window(*args, peak=peak)
-    guard = peak[0] * (1 - 1e-9)
-    with pytest.raises(InstabilityError) as expected:
-        per_step_evolve_window(*args, guard=guard)
-    with pytest.raises(InstabilityError) as got:
-        itm.evolve_window(*args, guard=guard)
-    assert got.value.step == expected.value.step > N_GROWING - 64
-
-
-@pytest.mark.parametrize("every", [7, 64])
+@pytest.mark.parametrize("every, n_steps", [
+    pytest.param(7, 1000, id="7"),
+    pytest.param(64, 1000, id="64"),
+    # a run too short to walk a block takes a steady step all the same
+    pytest.param(5, 5, id="5-steps"),
+])
 @pytest.mark.parametrize("dk_max", [1, 2, 3])
-def test_amplifying_run_trips_at_reference_step(monkeypatch, paper_qubit, dk_max, every):
+def test_amplifying_run_trips_at_reference_step(stepped, paper_qubit, dk_max, every, n_steps):
+    # the reference step is the first steady one, M + 1
     table = amplifying_table(dk_max, -10.0)
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
-    rho0 = initial_state("plus")
-    with pytest.raises(InstabilityError) as expected:
-        per_step_propagate(monkeypatch, rho0, transfer, table, 1000, sample_every=every)
-    with pytest.raises(InstabilityError) as got:
-        propagate(rho0, transfer, table, 1000, sample_every=every)
-    assert got.value.step == expected.value.step > every
-    # a slow eigenvalue above SLOW_RADIUS: every block is stepped
-    assert itm._slow_modes(transfer.step) is None
+    with pytest.raises(InstabilityError) as info:
+        propagate(initial_state("plus"), transfer, table, n_steps, sample_every=every)
+    assert info.value.step == dk_max + 1
+    assert stepped == []
 
 
-def test_non_finite_powers_are_stepped(paper_qubit):
-    # a violently amplifying step, and one with an infinite entry, have no
-    # slow modes to walk; neither warns
+def test_non_finite_steady_map_is_refused(paper_qubit):
+    # a violently amplifying step, and one with an infinite entry, are
+    # refused at step M + 1 = 2; neither warns
     table = amplifying_table(1, -40000.0)
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
-    infinite = transfer.step.copy()
-    infinite[0, 0] = np.inf
+    infinite = dataclasses.replace(transfer, step=transfer.step.copy())
+    infinite.step[0, 0] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert itm._slow_modes(transfer.step) is None
-        assert itm._slow_modes(infinite) is None
+        for bad in (transfer, infinite):
+            with pytest.raises(InstabilityError) as info:
+                itm._slow_modes(bad)
+            assert info.value.step == 2
+
+
+@pytest.mark.parametrize("dk_max", [1, 2])
+def test_non_finite_sample_raises_at_its_step(monkeypatch, paper_qubit, dk_max):
+    # without slow modes every block is stepped; an amplifying map then
+    # overflows, and the first non-finite sample is reported without a warning
+    monkeypatch.setattr(itm, "SLOW_ITERATIONS", 0)
+    table = amplifying_table(dk_max, -1000.0)
+    transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
+    rho0v = initial_state("plus").reshape(4)
+    with np.errstate(all="ignore"):
+        reference = per_step_evolve_window(rho0v, transfer, table, 1000, 7)
+    first = int(np.isfinite(reference).all(axis=1).argmin())
+    assert first > 0
+    with warnings.catch_warnings(), pytest.raises(InstabilityError) as info:
+        warnings.simplefilter("error")
+        itm.evolve_window(rho0v, transfer, table, 1000, 7)
+    assert info.value.step == 7 * (first + 1)
 
 
 def test_slow_basis_at_memory_span_1_is_identity(steady):
     # at q = 4 the slow subspace is the whole window: no QR, and X = P = I
     transfer, _ = steady(1)
-    x, p = itm._slow_modes(transfer.step)
+    x, p = itm._slow_modes(transfer)
     np.testing.assert_array_equal(x, np.eye(4))
     np.testing.assert_array_equal(p, np.eye(4))
 
@@ -238,7 +195,7 @@ def test_slow_modes_span_the_steady_map(steady, dk_max):
     # A X = X H to rounding, and X P projects along the fast modes: P X = I
     # and P A = H P, so the walk drops no slow part of a fast component
     transfer, _ = steady(dk_max)
-    x, p = itm._slow_modes(transfer.step)
+    x, p = itm._slow_modes(transfer)
     ax = itm.window_step(x, transfer.step)
     assert np.abs(ax - x @ (p @ ax)).max() <= 1e-14
     np.testing.assert_allclose(p @ x, np.eye(4), atol=1e-12)
@@ -248,21 +205,6 @@ def test_slow_modes_span_the_steady_map(steady, dk_max):
     radii = np.sort(np.abs(np.linalg.eigvals(p @ ax)))
     assert radii[-1] == pytest.approx(1.0, abs=1e-12)
     assert radii[0] > 0.9999
-
-
-def test_block_bound_is_the_block_peak_at_memory_span_1(growing):
-    # at q = 4, X = I: the bound of a block started from a basis window is the
-    # block's largest entry, which the growth puts at its last step
-    transfer, table = growing(1)
-    correction = itm._readout_factor(2, table)
-    basis = np.eye(4, dtype=complex)
-    _, _, bound = itm._block_map(basis, basis, transfer.step, correction, 64)
-    for k in range(4):
-        f, peak = basis[k], 0.0
-        for _ in range(64):
-            e2d = f[:, None] * transfer.step
-            f, peak = e2d.reshape(4, -1).sum(axis=0), max(peak, np.abs(e2d).max())
-        assert bound[:, k].max() == pytest.approx(peak, rel=1e-12)
 
 
 @pytest.mark.parametrize("dk_max", [2, 3, 4])
@@ -278,16 +220,29 @@ def test_walk_waits_for_the_transient(monkeypatch, paper_qubit, dk_max):
     assert np.abs(traj.rhos - reference.rhos).max() <= 1e-11
 
 
-@pytest.mark.parametrize("dk_max", [3, 4])
-def test_tight_guard_walks_every_steady_block(monkeypatch, stepped, steady, dk_max):
-    # the (q, 4) bound reads a little over each block's true peak, so a guard at
-    # 1.5 times the run's peak certifies every walked block
-    args = kernel_inputs(monkeypatch, *steady(dk_max), sample_every=64)
-    guard = 1.5 * run_peak(args)
-    expected = per_step_evolve_window(*args, guard=guard)
-    samples = itm.evolve_window(*args, guard=guard)
-    assert np.abs(samples - expected).max() <= 1e-11
-    assert [end - start for start, end in stepped] == [N_STEPS % 64]
+@pytest.mark.parametrize("alpha, dt, dk_max, temperature, walked", [
+    pytest.param(0.2, 2.0, 4, 30.0, True, id="alpha0.2-dt2"),
+    # the coordinates P have a 2-norm of about 100
+    pytest.param(10.0, 1.0, 3, 300.0, True, id="alpha10-dt1"),
+    # the adjoint basis has not converged and P has a 2-norm of about 1e20,
+    # so the window never settles and every block is stepped
+    pytest.param(10.0, 5.0, 3, 300.0, False, id="alpha10-dt5"),
+])
+def test_strong_coupling_maps_are_never_refused(monkeypatch, stepped, paper_qubit, alpha, dt,
+                                                dk_max, temperature, walked):
+    bath = OhmicBath(alpha=alpha, omega_c=5.0, temperature=temperature)
+    table = eta_coefficients(bath, dt, 2000, dk_max)
+    transfer = build_transfer_tensor(short_time_propagator(paper_qubit, dt), table)
+    rho0 = initial_state("zero")
+    reference = per_step_propagate(monkeypatch, rho0, transfer, table, 2000, sample_every=7)
+    traj = propagate(rho0, transfer, table, 2000, sample_every=7)
+    assert np.abs(traj.rhos - reference.rhos).max() <= 1e-11
+    # past the ramp, walked runs step only the transient and the partial last block
+    full = [start for start, end in stepped if end - start == 7]
+    if walked:
+        assert all(start < dk_max + TRANSIENT for start in full)
+    else:
+        assert full == list(range(7, 1995, 7))
 
 
 class CountedMatrix(np.ndarray):
@@ -318,7 +273,7 @@ def test_sweep_matches_repeated_jumps(steady, dk_max, top):
     k = {"0": 0, "1": 1, "2^d-1": 63, "2^d": 64, "2^d+1": 65}[top]
     transfer, table = steady(dk_max)
     correction = itm._readout_factor(dk_max + 1, table)
-    h, _, _ = itm._block_map(*itm._slow_modes(transfer.step), transfer.step, correction, 64)
+    h, _ = itm._block_map(*itm._slow_modes(transfer), transfer.step, correction, 64)
     y = np.random.default_rng(k).normal(size=4) * 0.1 + 0j
     rows = itm._sweep(y, h.T, k)
     expected = [y]
@@ -328,36 +283,9 @@ def test_sweep_matches_repeated_jumps(steady, dk_max, top):
     assert np.abs(rows - np.array(expected)).max() <= 1e-13
 
 
-@pytest.mark.parametrize("dk_max", [1, 2])
-def test_certificate_fails_inside_chunk(monkeypatch, walk_growth, growing, dk_max):
-    # the uniform bound fails on the walked blocks; halving finds the first
-    # block whose own bound fails
-    args = kernel_inputs(monkeypatch, *growing(dk_max), sample_every=64, n_steps=N_GROWING)
-    peak = []
-    per_step_evolve_window(*args, peak=peak)
-    guard = peak[0] * (1 + 1e-9)
-    certified = []
-    check = itm._certified
-
-    def spy_check(rows, bound, limit):
-        # the halves go through the spy too; the whole walk returns last
-        n = check(rows, bound, limit)
-        ok = (np.abs(rows) @ bound.T).max(axis=1) <= limit
-        certified.append((n, int(ok.argmin()), len(rows)))
-        return n
-
-    monkeypatch.setattr(itm, "_certified", spy_check)
-    samples = itm.evolve_window(*args, guard=guard)
-    assert len(certified) > 1
-    n, first_failure, walked = certified[-1]
-    assert 0 < n == first_failure < walked
-    assert np.abs(samples - per_step_evolve_window(*args, guard=guard)).max() <= 1e-11
-
-
 def test_steady_sweep_memory(steady):
     # q = 256: the walk holds (q, 4) blocks and 4 x 4 powers and peaks at
-    # 0.125 MiB; the doubling sweep of 256 x 256 powers before it took
-    # 4.67 MiB, and checking the bound as one (blocks, q) array 0.22 MiB
+    # 0.12 MiB; a doubling sweep of 256 x 256 powers takes 4.67 MiB
     transfer, table = steady(4)
     rho0 = initial_state("zero")
     propagate(rho0, transfer, table, N_STEPS, sample_every=64)
@@ -376,8 +304,8 @@ def counted(monkeypatch):
     block_map = itm._block_map
 
     def spy_block_map(*args):
-        h, sample, bound = block_map(*args)
-        return h.view(CountedMatrix), sample, bound
+        h, sample = block_map(*args)
+        return h.view(CountedMatrix), sample
 
     monkeypatch.setattr(itm, "_block_map", spy_block_map)
     CountedMatrix.window_products = CountedMatrix.squarings = 0
