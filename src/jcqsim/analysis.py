@@ -8,6 +8,7 @@ with w_0 = B_x / hbar, so the dephasing time is exactly twice the
 relaxation time. The non-Markovian number comes from fitting a decaying
 exponential (with free asymptote) to an ITM trajectory observable; for
 oscillatory observables the fit runs on the envelope of local extrema.
+Nothing here defaults a run setting: ``cli.RunConfig`` owns the default run.
 """
 
 from dataclasses import dataclass
@@ -37,8 +38,8 @@ class DecayFit:
     c0: float
     c_inf: float
     rms_residual: float
-    observable: str = "abs_rho01"
-    envelope: bool = False
+    observable: str
+    envelope: bool
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,13 @@ def _exp_model(p, t):
     return c_inf + (c0 - c_inf) * np.exp(-t / tau)
 
 
-def fit_decay(trajectory: Trajectory, observable: str = "abs_rho01") -> DecayFit:
+def fit_decay(trajectory: Trajectory, observable: str) -> DecayFit:
     """Fit the decay time of a trajectory observable.
 
     Needs at least 50 samples. Oscillatory data (enough local maxima of the
     magnitude spread over the window) is reduced to its extremum envelope
     before fitting. Non-decaying data raises NoDecayError; a diverged fit
-    raises NumericalError carrying the residual.
+    raises NumericalError.
     """
     if observable not in FIT_OBSERVABLES:
         raise ValueError(f"observable must be one of {FIT_OBSERVABLES}, got {observable!r}")
@@ -139,7 +140,7 @@ def fit_decay(trajectory: Trajectory, observable: str = "abs_rho01") -> DecayFit
     rms = residual / amplitude if amplitude > 0 else np.inf
 
     if not np.isfinite([c_inf, c0, tau]).all() or not result.success:
-        raise NumericalError("decay fit did not converge", residual=residual)
+        raise NumericalError("decay fit did not converge")
     if tau <= 0 or amplitude < 1e-12 * max(scale, 1.0):
         raise NoDecayError(f"{observable} shows no exponential decay on the window")
     if tau > 100.0 * span:
@@ -150,18 +151,20 @@ def fit_decay(trajectory: Trajectory, observable: str = "abs_rho01") -> DecayFit
 
 
 def step_count(t_max: float, dt: float) -> int:
-    """Whole steps of dt that fit in t_max, at least one."""
-    return max(1, int(np.floor(t_max / dt + 1e-9)))
+    """Whole steps of dt that fit in t_max, at least one; ConfigError if not finite."""
+    steps = np.floor(t_max / dt + 1e-9)
+    if not np.isfinite(steps):
+        raise ConfigError(f"step count t_max / dt = {t_max} / {dt} is not finite")
+    return max(1, int(steps))
 
 
 def compare(params: QubitParameters, bath: OhmicBath, dt: float, dk_max: int,
-            t_max: float, sample_every: int = 64, initial: str = "zero",
-            observable: str = "im_rho01", include_cutoff: bool = True) -> ComparisonReport:
+            t_max: float, *, sample_every: int, initial: str, observable: str,
+            include_cutoff: bool) -> ComparisonReport:
     """Run both estimators at one parameter point and report their ratio.
 
-    The ITM side evolves ``initial`` (default the oscillating "zero" state,
-    whose off-diagonal element shows the dephasing envelope directly) and
-    fits the requested observable.
+    The ITM side evolves ``initial``, sampled every ``sample_every`` steps,
+    and fits ``observable``; the Bloch side takes ``include_cutoff``.
     """
     n_steps = step_count(t_max, dt)
     _, tau2_bloch = bloch_decoherence_time(params, bath, include_cutoff=include_cutoff)

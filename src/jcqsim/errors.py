@@ -20,10 +20,6 @@ class CapacityError(ConfigError):
 class NumericalError(SimulationError):
     """A numerical routine failed to reach its accuracy target."""
 
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
 
 class InstabilityError(NumericalError):
     """The steady map grows (raised before step 1) or a sample is not finite."""
@@ -39,7 +35,3 @@ class NoDecayError(SimulationError):
 
 class SaturationError(SimulationError):
     """A threshold search ran off the end of its fixed grid."""
-
-    def __init__(self, message: str, grid_end: float):
-        super().__init__(message)
-        self.grid_end = grid_end

@@ -26,8 +26,8 @@ touches it, so the step factor at n = M is the steady step tensor g
 n = M + 1 the steady readout correction c.
 
 After the ramp every step is the same linear map A on f,
-e[j, y] = f[j] g[j, y] folded again: the transpose of
-``TransferTensor.dense()``; the readout after the step is R f with
+e[j, y] = f[j] g[j, y] folded again: A f = ``window_step(f, g)``, so A
+is ``window_step(I, g)``; the readout after the step is R f with
 R[y, j] = g[j, y] c[j, y]. A run that samples every L = ``every`` steps
 is cut into blocks of L steps and a last, partial one.
 
@@ -35,9 +35,10 @@ A has four slow modes, the reduced density matrix's own one-step map; the
 others decay within a few dozen steps (the transfer-tensor picture of
 Cerrillo and Cao, PRL 112, 110401 (2014)). Before step 1 of a run that
 reaches the steady map, ``_slow_modes`` finds an orthonormal basis X of
-them and their coordinates P. X^H A X holds A's largest eigenvalues: if
-it is not finite or its spectral radius exceeds ``SLOW_RADIUS``, A grows
-without bound and the run is refused with InstabilityError at step M + 1.
+them and, if the run walks a block, their coordinates P. X^H A X holds
+A's largest eigenvalues: if it is not finite or its spectral radius
+exceeds ``SLOW_RADIUS``, A grows without bound and the run is refused
+with InstabilityError at step M + 1.
 The ramp and the transient are stepped up to the first block boundary
 where the window f lies in span X; from there f = X y. Pushing X through
 L steps gives the block map H_L = P A^L X and the sample map
@@ -104,14 +105,6 @@ class TransferTensor:
     dk_max: int
     k_tensor: np.ndarray
     step: np.ndarray
-
-    def dense(self) -> np.ndarray:
-        """The (4^M, 4^M) window-to-window matrix; zero off the overlap.
-
-        Built by pushing the identity through one ``window_step``: its
-        transpose is the map that the steady propagation iterates.
-        """
-        return window_step(np.eye(4 ** self.dk_max, dtype=complex), self.step).T
 
 
 @dataclass(frozen=True)
@@ -205,7 +198,7 @@ def build_transfer_tensor(propagator: PropagatorK, table: EtaTable) -> TransferT
                           step=_step_factor(m, propagator.tensor, table))
 
 
-def _adjoint_step(e, g2d):
+def _adjoint_window_step(e, g2d):
     """``window_step``'s adjoint: entry a q/4 + r sums conj(g[a q/4 + r, y]) e[4r + y] over y."""
     q = g2d.shape[0]
     g_ray = g2d.reshape(4, q // 4, 4).transpose(1, 0, 2).conj()
@@ -218,12 +211,13 @@ def _coordinates(x, p, z):
     return y, np.linalg.norm(z - x @ y) <= SLOW_TOL * np.linalg.norm(z)
 
 
-def _slow_modes(transfer):
+def _slow_modes(transfer, walks):
     """(X, P): an orthonormal (q, 4) basis X of A's slow modes and their coordinates P.
 
     Orthogonal iteration from the first four columns of the identity until
-    A X lies in span X; W takes as many steps with A^H. P = (W^H X)^-1 W^H,
-    so X P projects along the fast modes. None after ``SLOW_ITERATIONS``.
+    A X lies in span X; if the run ``walks`` a block, W takes as many steps
+    with A^H and P = (W^H X)^-1 W^H, so X P projects along the fast modes.
+    None after ``SLOW_ITERATIONS``, or if the run walks no block.
     Raises InstabilityError at step M + 1, the first steady step, if
     X^H A X is not finite or its spectral radius exceeds ``SLOW_RADIUS``.
     """
@@ -240,9 +234,10 @@ def _slow_modes(transfer):
                 if radius > SLOW_RADIUS:
                     raise InstabilityError(f"steady map grows, spectral radius "
                                            f"{radius:.12g}, at step {step}", step=step)
-                return x, np.linalg.solve(w.conj().T @ x, w.conj().T)
+                return (x, np.linalg.solve(w.conj().T @ x, w.conj().T)) if walks else None
             x = np.linalg.qr(z)[0]
-            w = np.linalg.qr(_adjoint_step(w, g2d))[0]
+            if walks:
+                w = np.linalg.qr(_adjoint_window_step(w, g2d))[0]
     return None
 
 
@@ -311,7 +306,8 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     m = transfer.dk_max
     n_blocks, full = -(-n_steps // every), n_steps // every
     correction = _readout_factor(m + 1, table) if n_steps > m else None
-    modes = _slow_modes(transfer) if n_steps > m else None
+    # the walk's condition: a full block starts at or after step M
+    modes = _slow_modes(transfer, -(-m // every) < full) if n_steps > m else None
 
     f = rho0v
     samples = np.empty((n_blocks, 4), dtype=np.complex128)

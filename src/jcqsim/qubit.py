@@ -101,7 +101,7 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho.copy()
 
 
-def initial_state(kind="plus") -> np.ndarray:
+def initial_state(kind) -> np.ndarray:
     """Initial density matrix: a copy of ``INITIAL_STATES[kind]``, or ``kind`` validated."""
     if isinstance(kind, str):
         if kind not in INITIAL_STATES:

@@ -125,16 +125,21 @@ class TestFitDecay:
 class TestCompare:
 
     def test_directional_claim_short_window(self, paper_qubit, paper_bath):
-        report = compare(paper_qubit, paper_bath, dt=12.707, dk_max=1, t_max=1.0e6)
+        report = compare(paper_qubit, paper_bath, dt=12.707, dk_max=1, t_max=1.0e6,
+                         sample_every=64, initial="zero", observable="im_rho01",
+                         include_cutoff=True)
         assert report.tau2_itm < report.tau2_bloch
         assert report.ratio == pytest.approx(report.tau2_itm / report.tau2_bloch, rel=1e-12)
 
     def test_weaker_coupling_lengthens_both(self, paper_qubit, paper_bath):
-        base = compare(paper_qubit, paper_bath, dt=12.707, dk_max=1, t_max=1.0e6)
+        base = compare(paper_qubit, paper_bath, dt=12.707, dk_max=1, t_max=1.0e6,
+                       sample_every=64, initial="zero", observable="im_rho01",
+                       include_cutoff=True)
         # 50x weaker coupling decays 50x slower; give the fit a window that
         # resolves a visible fraction of the decay
         weak_bath = OhmicBath(alpha=1e-7, omega_c=5.0, temperature=30.0)
         weak = compare(paper_qubit, weak_bath, dt=12.707, dk_max=1, t_max=2.0e7,
-                       sample_every=256)
+                       sample_every=256, initial="zero", observable="im_rho01",
+                       include_cutoff=True)
         assert weak.tau2_bloch > base.tau2_bloch
         assert weak.tau2_itm > base.tau2_itm

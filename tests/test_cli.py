@@ -348,6 +348,18 @@ class TestConfigHandling:
         assert "finite" in err
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("evolve", "--t-max-ps", "1e308", "--dt-ps", "1e-10"),
+        ("evolve", "--dt-ps", "1e-320"),
+        ("compare", "--t-max-ps", "1e308", "--dt-ps", "1e-10"),
+    ], ids=" ".join)
+    def test_overflowing_step_count_rejected(self, tmp_path, capsys, argv):
+        out_file = tmp_path / "t.csv"
+        code, _, err = run_cli(capsys, *argv, "--output", str(out_file))
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out_file.exists()
+
     def test_invalid_combination_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "evolve", "--t-max-ps", "5", "--dt-ps", "10",
                              "--output", "x.csv")

@@ -149,6 +149,28 @@ def test_amplifying_run_trips_at_reference_step(stepped, paper_qubit, dk_max, ev
     assert stepped == []
 
 
+@pytest.mark.parametrize("n_steps, every, walks", [
+    pytest.param(300, 1000, False, id="no-full-block"),
+    # the first full block past the ramp starts at step 4 and ends at 8
+    pytest.param(7, 4, False, id="7-steps"),
+    pytest.param(8, 4, True, id="8-steps"),
+    pytest.param(N_STEPS, 64, True, id="walked"),
+])
+def test_adjoint_basis_only_for_runs_that_walk(monkeypatch, steady, n_steps, every, walks):
+    # a run that can walk no block needs X for the refusal, but not W or P
+    calls = []
+    adjoint_window_step = itm._adjoint_window_step
+
+    def spy_adjoint_window_step(e, g2d):
+        calls.append(e.shape)
+        return adjoint_window_step(e, g2d)
+
+    monkeypatch.setattr(itm, "_adjoint_window_step", spy_adjoint_window_step)
+    transfer, table = steady(4)
+    propagate(initial_state("zero"), transfer, table, n_steps, sample_every=every)
+    assert bool(calls) == walks
+
+
 def test_non_finite_steady_map_is_refused(paper_qubit):
     # a violently amplifying step, and one with an infinite entry, are
     # refused at step M + 1 = 2; neither warns
@@ -160,7 +182,7 @@ def test_non_finite_steady_map_is_refused(paper_qubit):
         warnings.simplefilter("error")
         for bad in (transfer, infinite):
             with pytest.raises(InstabilityError) as info:
-                itm._slow_modes(bad)
+                itm._slow_modes(bad, True)
             assert info.value.step == 2
 
 
@@ -185,7 +207,7 @@ def test_non_finite_sample_raises_at_its_step(monkeypatch, paper_qubit, dk_max):
 def test_slow_basis_at_memory_span_1_is_identity(steady):
     # at q = 4 the slow subspace is the whole window: no QR, and X = P = I
     transfer, _ = steady(1)
-    x, p = itm._slow_modes(transfer)
+    x, p = itm._slow_modes(transfer, True)
     np.testing.assert_array_equal(x, np.eye(4))
     np.testing.assert_array_equal(p, np.eye(4))
 
@@ -195,7 +217,7 @@ def test_slow_modes_span_the_steady_map(steady, dk_max):
     # A X = X H to rounding, and X P projects along the fast modes: P X = I
     # and P A = H P, so the walk drops no slow part of a fast component
     transfer, _ = steady(dk_max)
-    x, p = itm._slow_modes(transfer)
+    x, p = itm._slow_modes(transfer, True)
     ax = itm.window_step(x, transfer.step)
     assert np.abs(ax - x @ (p @ ax)).max() <= 1e-14
     np.testing.assert_allclose(p @ x, np.eye(4), atol=1e-12)
@@ -273,7 +295,7 @@ def test_sweep_matches_repeated_jumps(steady, dk_max, top):
     k = {"0": 0, "1": 1, "2^d-1": 63, "2^d": 64, "2^d+1": 65}[top]
     transfer, table = steady(dk_max)
     correction = itm._readout_factor(dk_max + 1, table)
-    h, _ = itm._block_map(*itm._slow_modes(transfer), transfer.step, correction, 64)
+    h, _ = itm._block_map(*itm._slow_modes(transfer, True), transfer.step, correction, 64)
     y = np.random.default_rng(k).normal(size=4) * 0.1 + 0j
     rows = itm._sweep(y, h.T, k)
     expected = [y]

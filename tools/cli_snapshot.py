@@ -1,0 +1,84 @@
+"""Snapshot the outputs of a fixed list of ``jcqsim`` command-line calls.
+
+Usage: python3 tools/cli_snapshot.py OUT_DIR
+
+Each call runs in its own process, in its own new directory OUT_DIR/NAME,
+with OPENBLAS_NUM_THREADS=1 and this checkout's ``src`` first on
+PYTHONPATH. The directory keeps the CSV files the call wrote and its
+``stdout``, ``stderr`` and ``exit_code``. Warnings in ``stderr`` name
+their file without the checkout's path or the line number, which differ
+between checkouts of one program. ``diff -r`` of the snapshots of
+two checkouts shows every byte that a change moved. The outputs depend on
+the numpy and BLAS build, so compare only snapshots taken on one machine.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# "<SRC>/jcqsim/itm.py:169: RuntimeWarning: ..." -> "jcqsim/itm.py: RuntimeWarning: ..."
+WARNING_LOCATION = re.compile(re.escape(str(SRC) + os.sep).encode() + rb"(\S+?):\d+:")
+
+CALLS = {
+    **{f"compare-dk{m}": ["compare", "--dk-max", str(m), "--output", "report.csv"]
+       for m in (1, 2, 3, 4, 6)},
+    "compare-dk2-100mK": ["compare", "--dk-max", "2", "--temperature-mK", "100",
+                          "--t-max-ps", "1e6", "--output", "report.csv"],
+    "compare-plus-rho00": ["compare", "--initial-state", "plus", "--observable", "rho00",
+                           "--dk-max", "2", "--output", "report.csv"],
+    "compare-no-cutoff": ["compare", "--no-cutoff", "--output", "report.csv"],
+    "bloch": ["bloch"],
+    "bloch-no-cutoff": ["bloch", "--no-cutoff"],
+    **{f"evolve-alpha{alpha}": ["evolve", "--alpha", alpha, "--dk-max", "3", "--dt-ps", "2",
+                                "--t-max-ps", "2000", "--sample-every", "1",
+                                "--output", "trajectory.csv"]
+       for alpha in ("0.05", "0.5", "5")},
+    "evolve-dk5-every3": ["evolve", "--alpha", "0.2", "--dk-max", "5", "--dt-ps", "5",
+                          "--t-max-ps", "3000", "--sample-every", "3",
+                          "--output", "trajectory.csv"],
+    # samples inside the ramp
+    "evolve-ramp": ["evolve", "--dk-max", "2", "--t-max-ps", "30", "--sample-every", "1",
+                    "--output", "trajectory.csv"],
+    "evolve-dump-eta": ["evolve", "--dk-max", "4", "--t-max-ps", "1e5", "--sample-every", "7",
+                        "--dump-eta", "eta.csv", "--output", "trajectory.csv"],
+    # the window never settles, so every block is stepped
+    "evolve-stepped": ["evolve", "--alpha", "10", "--dt-ps", "5", "--dk-max", "3",
+                       "--temperature-mK", "300", "--t-max-ps", "1e4", "--sample-every", "7",
+                       "--output", "trajectory.csv"],
+    # no full block: nothing is walked
+    "evolve-no-walk": ["evolve", "--dk-max", "8", "--t-max-ps", "300",
+                       "--sample-every", "1000", "--output", "trajectory.csv"],
+    "oracle": ["oracle", "--n-steps", "8"],
+    "response": ["response", "--output", "gamma.csv"],
+    "fail-dk11": ["evolve", "--dk-max", "11", "--output", "trajectory.csv"],
+    "fail-alpha1e300": ["evolve", "--alpha", "1e300", "--t-max-ps", "100",
+                        "--output", "trajectory.csv"],
+    "fail-step-overflow": ["evolve", "--t-max-ps", "1e308", "--dt-ps", "1e-10",
+                           "--output", "trajectory.csv"],
+}
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    out_dir = Path(argv[1])
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(path))
+    for name, args in CALLS.items():
+        cwd = out_dir / name
+        cwd.mkdir(parents=True)
+        run = subprocess.run([sys.executable, "-m", "jcqsim.cli", *args], cwd=cwd, env=env,
+                             capture_output=True, check=False)
+        (cwd / "stdout").write_bytes(run.stdout)
+        (cwd / "stderr").write_bytes(WARNING_LOCATION.sub(rb"\1:", run.stderr))
+        (cwd / "exit_code").write_text(f"{run.returncode}\n")
+        print(f"{name}: exit {run.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
