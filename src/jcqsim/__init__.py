@@ -15,8 +15,8 @@ from .influence import (COUPLING_WEIGHT, EtaTable, eta_coefficients, pair_factor
                         self_factor_table)
 from .itm import (TransferTensor, Trajectory, backend_name, brute_force_path_sum,
                   build_transfer_tensor, propagate)
-from .qubit import (PropagatorK, QubitParameters, hamiltonian, initial_state,
-                    short_time_propagator, validate_density_matrix)
+from .qubit import (QubitParameters, hamiltonian, initial_state, short_time_propagator,
+                    validate_density_matrix)
 from .units import HBAR, K_B, thermal_beta
 
 __version__ = "0.1.0"

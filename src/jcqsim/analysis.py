@@ -116,17 +116,11 @@ def fit_decay(trajectory: Trajectory, observable: str) -> DecayFit:
     c_inf0 = float(y_fit[-tail:].mean())
     c00 = float(y_fit[0])
     # log-linear seed for tau on the samples clearly above the asymptote
-    resid = y_fit - c_inf0
-    mask = np.abs(resid) > 0.05 * max(abs(c00 - c_inf0), 1e-30)
-    if mask.sum() >= 2 and abs(c00 - c_inf0) > 0:
-        sgn = np.sign(c00 - c_inf0)
-        vals = sgn * resid[mask]
-        ok = vals > 0
-        if ok.sum() >= 2:
-            slope = np.polyfit(t_fit[mask][ok], np.log(vals[ok]), 1)[0]
-            tau0 = -1.0 / slope if slope < 0 else span
-        else:
-            tau0 = span / 3.0
+    vals = np.sign(c00 - c_inf0) * (y_fit - c_inf0)
+    ok = vals > 0.05 * max(abs(c00 - c_inf0), 1e-30)
+    if ok.sum() >= 2:
+        slope = np.polyfit(t_fit[ok], np.log(vals[ok]), 1)[0]
+        tau0 = -1.0 / slope if slope < 0 else span
     else:
         tau0 = span / 3.0
     tau0 = min(max(tau0, span * 1e-3), span * 1e3)

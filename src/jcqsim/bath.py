@@ -127,10 +127,12 @@ def response_function(bath: OhmicBath, t) -> complex | np.ndarray:
     complex array of the same shape.
     """
     z, b, scalar = _scaled_times(bath, t)
+    # z^2 overflows above t of about 1e154, where 1/z^2 = 0 is the right limit;
     # + 0.0 turns the -0.0 of alpha = 0, and of Im gamma(0), into 0.0
-    gamma = 2.0 * HBAR * bath.alpha * (np.conj(1.0 / (z * z))
-                                       + _trigamma(1.0 + z / (2.0 * b)).real
-                                       / (2.0 * b * b)) + 0.0
+    with np.errstate(over="ignore"):
+        gamma = 2.0 * HBAR * bath.alpha * (np.conj(1.0 / (z * z))
+                                           + _trigamma(1.0 + z / (2.0 * b)).real
+                                           / (2.0 * b * b)) + 0.0
     return complex(gamma) if scalar else gamma
 
 

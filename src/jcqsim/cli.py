@@ -225,43 +225,41 @@ def cmd_oracle(config: RunConfig, n_steps: int, out) -> int:
     return EXIT_OK
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    for name, kind in _FIELD_TYPES.items():
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
-                            choices=CHOICES.get(name))
-
-
 def make_parser() -> argparse.ArgumentParser:
+    config_flags = argparse.ArgumentParser(add_help=False)
+    config_flags.add_argument("--config", help="flat key = value config file")
+    for name, kind in _FIELD_TYPES.items():
+        config_flags.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                                  choices=CHOICES.get(name))
     parser = argparse.ArgumentParser(
         prog="jcqsim",
         description="Charge-qubit decoherence: QUAPI/ITM evolution vs Bloch rates")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_resp = sub.add_parser("response", help="bath response function CSV")
-    _add_config_flags(p_resp)
+    p_resp = sub.add_parser("response", help="bath response function CSV",
+                            parents=[config_flags])
     p_resp.add_argument("--response-t-max-ps", type=float, default=50.0,
                         help="last time of the grid in ps, which starts at 0 (default 50)")
     p_resp.add_argument("--n-points", type=int, default=500, metavar="N",
                         help="number of equal intervals on [0, t_max]; the CSV gets "
                              "N + 1 rows, both ends included (default 500)")
 
-    p_evolve = sub.add_parser("evolve", help="evolve the reduced density matrix")
-    _add_config_flags(p_evolve)
+    p_evolve = sub.add_parser("evolve", help="evolve the reduced density matrix",
+                              parents=[config_flags])
     p_evolve.add_argument("--dump-eta", dest="dump_eta",
                           help="also write the coefficient table CSV here")
 
-    p_bloch = sub.add_parser("bloch", help="golden-rule relaxation/dephasing times")
-    _add_config_flags(p_bloch)
+    p_bloch = sub.add_parser("bloch", help="golden-rule relaxation/dephasing times",
+                             parents=[config_flags])
     p_bloch.add_argument("--no-cutoff", action="store_true",
                          help="evaluate J(w0) without the exponential cutoff factor")
 
-    p_cmp = sub.add_parser("compare", help="ITM vs Bloch dephasing-time report")
-    _add_config_flags(p_cmp)
+    p_cmp = sub.add_parser("compare", help="ITM vs Bloch dephasing-time report",
+                           parents=[config_flags])
     p_cmp.add_argument("--no-cutoff", action="store_true")
 
-    p_oracle = sub.add_parser("oracle", help="ITM vs exact path-sum deviation")
-    _add_config_flags(p_oracle)
+    p_oracle = sub.add_parser("oracle", help="ITM vs exact path-sum deviation",
+                              parents=[config_flags])
     p_oracle.add_argument("--n-steps", dest="oracle_n_steps", type=int, default=6)
 
     return parser
@@ -280,9 +278,7 @@ def main(argv=None) -> int:
             return cmd_bloch(config, not args.no_cutoff, out)
         if args.command == "compare":
             return cmd_compare(config, not args.no_cutoff, out)
-        if args.command == "oracle":
-            return cmd_oracle(config, args.oracle_n_steps, out)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_oracle(config, args.oracle_n_steps, out)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

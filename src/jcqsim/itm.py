@@ -2,12 +2,13 @@
 
 The propagated object is a window tensor over consecutive time points,
 stored flat, row-major, oldest point first. Step n -> n+1 multiplies in
-``_step_factor(n)``: the bare propagator pair tensor, the departing
-point's self factor and all pair factors that end at the new point. Each
-point's self factor is applied exactly once, when the point stops being
-the newest; each pair factor is applied once, when its later point is
-added. The factor builders return (rows, 4) arrays: the row indexes the
-older points, the column the newest.
+``_step_factor(n)``: the bare propagator pair tensor K that
+``_pair_tensor`` builds from the one-step U, the departing point's self
+factor and all pair factors that end at the new point. Each point's self
+factor is applied exactly once, when the point stops being the newest;
+each pair factor is applied once, when its later point is added. The
+factor builders return (rows, 4) arrays: the row indexes the older
+points, the column the newest.
 
 Reading out a density matrix at step n multiplies the window by
 ``_readout_factor(n)`` non-destructively: the terminal point's self factor
@@ -59,7 +60,7 @@ import numpy as np
 from .errors import CapacityError, ConfigError, InstabilityError
 from .influence import (ENDPOINT, INTERIOR, EtaTable, pair_class, pair_factor_table,
                         self_factor_table)
-from .qubit import PropagatorK, QubitParameters, short_time_propagator, validate_density_matrix
+from .qubit import QubitParameters, short_time_propagator, validate_density_matrix
 
 # Largest memory span M of a transfer tensor and largest path length N of
 # the path sum: a window tensor holds 4^(M + 1) entries, and the path sum
@@ -146,6 +147,13 @@ class Trajectory:
         return np.abs(self.rhos[:, 1, 0] - self.rhos[:, 0, 1].conj())
 
 
+def _pair_tensor(u: np.ndarray) -> np.ndarray:
+    """K[(b+, b-), (c+, c-)] = U[c+, b+] conj(U[c-, b-]) over spin pairs p = 2 b+ + b-."""
+    # np.kron(u, u.conj()).T holds the same products, but off the sweet spot its
+    # vectorized complex multiply rounds some of them differently in the last bit.
+    return np.einsum("ik,jl->klij", u, u.conj()).reshape(4, 4)
+
+
 def _on_axes(factor: np.ndarray, axes: tuple, width: int) -> np.ndarray:
     """Reshape a (4,) or (4, 4) factor for broadcasting onto given axes."""
     shape = [1] * width
@@ -186,16 +194,18 @@ def _readout_factor(n: int, table: EtaTable) -> np.ndarray:
     return c.reshape(-1, 4)
 
 
-def build_transfer_tensor(propagator: PropagatorK, table: EtaTable) -> TransferTensor:
-    """Steady-state transfer tensor for memory span table.dk_max.
+@np.errstate(over="ignore", invalid="ignore")
+def build_transfer_tensor(u: np.ndarray, table: EtaTable) -> TransferTensor:
+    """Steady-state transfer tensor for memory span table.dk_max and one-step U.
 
-    Raises CapacityError above ``SPAN_CAP``, before the tensor is allocated.
+    Raises CapacityError above ``SPAN_CAP``, before the tensor is allocated;
+    ``propagate`` refuses the map of overflowing factors, without a warning here.
     """
     m = table.dk_max
     if m > SPAN_CAP:
         raise CapacityError(f"memory span capped at dk_max = {SPAN_CAP}, got {m}")
-    return TransferTensor(dk_max=m, k_tensor=propagator.tensor,
-                          step=_step_factor(m, propagator.tensor, table))
+    k_tensor = _pair_tensor(u)
+    return TransferTensor(dk_max=m, k_tensor=k_tensor, step=_step_factor(m, k_tensor, table))
 
 
 def _adjoint_window_step(e, g2d):
@@ -306,21 +316,22 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     m = transfer.dk_max
     n_blocks, full = -(-n_steps // every), n_steps // every
     correction = _readout_factor(m + 1, table) if n_steps > m else None
-    # the walk's condition: a full block starts at or after step M
-    modes = _slow_modes(transfer, -(-m // every) < full) if n_steps > m else None
+    # the first block that starts at or after step M; the run walks if it is full
+    first = -(-m // every)
+    modes = _slow_modes(transfer, first < full) if n_steps > m else None
 
     f = rho0v
     samples = np.empty((n_blocks, 4), dtype=np.complex128)
     i = 0
     while i < n_blocks:
-        if modes is not None and i * every >= m and i < full:
+        if modes is not None and first <= i < full:
             x, p = modes
             y, settled = _coordinates(x, p, f)
             if settled:
                 h, sample = _block_map(x, p, transfer.step, correction, every)
                 rows = _sweep(y, h.T, full - i)
                 samples[i:full] = rows[:-1] @ sample.T
-                f, i, modes = x @ rows[-1], full, None
+                f, i = x @ rows[-1], full
                 continue
         f, samples[i] = _step_block(f, transfer, table, correction,
                                     i * every, min(i * every + every, n_steps))
@@ -378,7 +389,7 @@ def brute_force_path_sum(rho0: np.ndarray, params: QubitParameters, table: EtaTa
     if n_steps > SPAN_CAP:
         raise CapacityError(f"path enumeration capped at n_steps = {SPAN_CAP}, got {n_steps}")
     rho0v = validate_density_matrix(rho0).reshape(4)
-    k_tensor = short_time_propagator(params, table.dt).tensor
+    k_tensor = _pair_tensor(short_time_propagator(params, table.dt))
     self_end = self_factor_table(table.eta_self(ENDPOINT))
     self_int = self_factor_table(table.eta_self(INTERIOR))
     n = n_steps

@@ -1,11 +1,11 @@
-"""Bare two-level system: Hamiltonian, exact short-time propagator, named states.
+"""Bare two-level system: Hamiltonian, exact short-time propagator U, named states.
 
 Basis convention: index 0 is the sigma_z = +1 state (column vector (1, 0))
 and index 1 the sigma_z = -1 state. CSV output labels rows 0/1 in this
 order. Effective fields are B_x = E_J and B_z = 4 E_C (1 - 2 n_g); at the
 gate-charge sweet spot n_g = 1/2 the Hamiltonian is pure sigma_x. The
-propagator rotates about the axis of ``hamiltonian``, and the CLI offers
-the names of ``INITIAL_STATES``.
+propagator U rotates about the axis of ``hamiltonian``; ``itm`` builds its
+forward/backward pair tensor. The CLI offers the names of ``INITIAL_STATES``.
 """
 
 from dataclasses import dataclass
@@ -52,36 +52,19 @@ class QubitParameters:
         return 4.0 * self.e_c * (1.0 - 2.0 * self.n_g)
 
 
-@dataclass(frozen=True)
-class PropagatorK:
-    """One-step system propagator U and its forward/backward pair tensor.
-
-    ``tensor[p, p']`` maps the spin pair p at step k to p' at step k+1 and
-    factorizes as U[b+', b+] conj(U[b-', b-]).
-    """
-
-    u: np.ndarray
-    tensor: np.ndarray
-
-
 def hamiltonian(params: QubitParameters) -> np.ndarray:
     """H_s = -(B_z/2) sigma_z - (B_x/2) sigma_x in ueV."""
     return -0.5 * params.b_z * SIGMA_Z - 0.5 * params.b_x * SIGMA_X
 
 
-def short_time_propagator(params: QubitParameters, dt: float) -> PropagatorK:
-    """Exact U = exp(-i H_s dt / hbar) = cos(theta) - i sin(theta) 2 H_s / |B|."""
+def short_time_propagator(params: QubitParameters, dt: float) -> np.ndarray:
+    """Returns U = exp(-i H_s dt / hbar) = cos(theta) - i sin(theta) 2 H_s / |B|, exactly."""
     if dt < 0.0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     b_norm = np.hypot(params.b_x, params.b_z)
     theta = b_norm * dt / (2.0 * HBAR)
     axis = -2.0 * hamiltonian(params) / b_norm
-    u = np.cos(theta) * np.eye(2, dtype=complex) + 1j * np.sin(theta) * axis
-    # tensor[(b+, b-), (c+, c-)] = U[c+, b+] conj(U[c-, b-]). np.kron(u, u.conj()).T
-    # holds the same products, but off the sweet spot its vectorized complex
-    # multiply rounds some of them differently in the last bit.
-    tensor = np.einsum("ik,jl->klij", u, u.conj()).reshape(4, 4)
-    return PropagatorK(u=u, tensor=tensor)
+    return np.cos(theta) * np.eye(2, dtype=complex) + 1j * np.sin(theta) * axis
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -101,10 +84,8 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return rho.copy()
 
 
-def initial_state(kind) -> np.ndarray:
-    """Initial density matrix: a copy of ``INITIAL_STATES[kind]``, or ``kind`` validated."""
-    if isinstance(kind, str):
-        if kind not in INITIAL_STATES:
-            raise ValueError(f"unknown initial state kind {kind!r}")
-        return INITIAL_STATES[kind].copy()
-    return validate_density_matrix(kind)
+def initial_state(kind: str) -> np.ndarray:
+    """A copy of ``INITIAL_STATES[kind]``; ``propagate`` validates any other rho0."""
+    if kind not in INITIAL_STATES:
+        raise ValueError(f"unknown initial state kind {kind!r}")
+    return INITIAL_STATES[kind].copy()

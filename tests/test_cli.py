@@ -1,6 +1,7 @@
 import re
 import shlex
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,37 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert err.startswith("config error:") and "Traceback" not in err
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("argv, code, tail", [
+        (("response", "--response-t-max-ps", "1e308"), EXIT_OK, "1e+308,0,0\n"),
+        (("evolve", "--alpha", "1e300", "--t-max-ps", "100"), EXIT_NUMERICAL, "step 2\n"),
+    ], ids=["response-t-1e308", "evolve-alpha-1e300"])
+    def test_extreme_inputs_run_without_warnings(self, tmp_path, capsys, argv, code, tail):
+        # warnings are errors in this suite, so an overflow warning fails the run
+        out_file = tmp_path / "out.csv"
+        got, _, err = run_cli(capsys, *argv, "--output", str(out_file))
+        assert got == code
+        assert (out_file.read_text() if code == EXIT_OK else err).endswith(tail)
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["response", "evolve", "bloch", "compare", "oracle"])
+    def test_every_command_takes_every_config_flag(self, capsys, command):
+        values = {f.name: str(f.default) for f in fields(RunConfig)}
+        argv = [command, "--config", "run.cfg"]
+        for name, value in values.items():
+            argv += ["--" + name.replace("_", "-"), value]
+        args = make_parser().parse_args(argv)
+        assert args.config == "run.cfg"
+        assert {name: str(getattr(args, name)) for name in values} == values
+        with pytest.raises(SystemExit):
+            make_parser().parse_args([command, "--help"])
+        usage = capsys.readouterr().out
+        for flag in ["--config", *("--" + name.replace("_", "-") for name in values)]:
+            assert re.search(rf"(?<![\w-]){flag}(?![\w-])", usage), flag
 
     def test_invalid_combination_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "evolve", "--t-max-ps", "5", "--dt-ps", "10",

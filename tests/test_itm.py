@@ -27,10 +27,10 @@ def free_transfer(paper_qubit, free_table):
 class TestTransferTensor:
 
     def test_free_dense_equals_bare_propagator(self, paper_qubit, free_table):
-        prop = short_time_propagator(paper_qubit, DT)
-        transfer = build_transfer_tensor(prop, free_table)
+        u = short_time_propagator(paper_qubit, DT)
+        transfer = build_transfer_tensor(u, free_table)
         dense = itm.window_step(np.eye(4, dtype=complex), transfer.step).T
-        np.testing.assert_array_equal(dense, prop.tensor)
+        np.testing.assert_array_equal(dense, itm._pair_tensor(u))
 
     def test_dense_overlap_structure(self, paper_bath, paper_qubit):
         table = eta_coefficients(paper_bath, DT, 4, 2)
@@ -103,7 +103,7 @@ class TestOracleEquivalence:
     def test_free_case_equals_unitary(self, paper_qubit, free_table):
         rho0 = initial_state("zero")
         exact = brute_force_path_sum(rho0, paper_qubit, free_table, 1)
-        u = short_time_propagator(paper_qubit, DT).u
+        u = short_time_propagator(paper_qubit, DT)
         np.testing.assert_allclose(exact, u @ rho0 @ u.conj().T, atol=1e-14)
 
     def test_path_sum_hermitian(self, paper_bath, paper_qubit):
@@ -117,7 +117,7 @@ class TestOracleEquivalence:
         from itertools import product
 
         table = eta_coefficients(paper_bath, DT, n, n)
-        u = short_time_propagator(paper_qubit, DT).u
+        u = short_time_propagator(paper_qubit, DT)
         rho0 = initial_state("plus")
         spins = (0, 1)  # basis indices; spin value s = 1 - 2b
         expected = np.zeros((2, 2), dtype=complex)
