@@ -14,7 +14,6 @@ Nothing here defaults a run setting: ``cli.RunConfig`` owns the default run.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bath import OhmicBath, spectral_density
 from .errors import ConfigError, NoDecayError, NumericalError
@@ -28,6 +27,13 @@ US_PER_PS = 1e-6
 FIT_OBSERVABLES = ("abs_rho01", "re_rho01", "im_rho01", "rho00", "rho11")
 # envelope fitting kicks in when this many oscillation peaks are present
 _MIN_PEAKS = 8
+# the fit stops once a step moves tau by at most this fraction of tau
+_TAU_XTOL = 1e-15
+# a predicted cost reduction below this fraction of the cost is lost in its rounding
+_COST_ROUNDING = 1e-13
+_MAX_ITERATIONS = 1000
+# a fitted tau beyond this many window spans is no decay
+_MAX_SPANS = 100.0
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,63 @@ def _exp_model(p, t):
     return c_inf + (c0 - c_inf) * np.exp(-t / tau)
 
 
+def _exp_jacobian(p, t):
+    """Columns d/dc_inf, d/dc0 and d/dtau of ``_exp_model``."""
+    c_inf, c0, tau = p
+    decay = np.exp(-t / tau)
+    return np.column_stack([1.0 - decay, decay, (c0 - c_inf) * decay * t / (tau * tau)])
+
+
+def _levenberg_marquardt(t, y, p, tau_max):
+    """Least-squares fit of ``_exp_model`` to (t, y) from p; (p, residual, ended).
+
+    Each step solves (J^T J + damping D) d = -J^T r, with D the largest
+    diagonal of J^T J seen so far, or 1 where that is 0 (Marquardt's
+    scaling, as in MINPACK). A step is taken if it lowers the cost, or if
+    the reduction it predicts is below the cost's rounding, so that the
+    cost cannot judge it; otherwise it is refused and the damping grows.
+    Near the minimum the cost stops resolving steps long before tau is
+    settled, so the fit ends on its step in tau, at a taken step that
+
+    - moves tau by at most ``_TAU_XTOL`` of tau;
+    - is unresolved and moves tau no less than the taken step before it:
+      the steps have reached the rounding of the gradient;
+    - carries tau past ``tau_max``, a time the caller refuses: towards it
+      the minimum recedes along a flat valley.
+
+    ``ended`` is False if none of these happens within ``_MAX_ITERATIONS``.
+    """
+    p = np.asarray(p, dtype=float)
+    residual = _exp_model(p, t) - y
+    cost = residual @ residual
+    damping = 1e-3
+    scale = np.zeros(3)
+    last = np.inf
+    for _ in range(_MAX_ITERATIONS):
+        jac = _exp_jacobian(p, t)
+        normal = jac.T @ jac
+        gradient = jac.T @ residual
+        scale = np.maximum(scale, np.diag(normal))
+        step = np.linalg.solve(normal + damping * np.diag(np.where(scale > 0.0, scale, 1.0)),
+                               -gradient)
+        trial = p + step
+        trial_residual = _exp_model(trial, t) - y
+        trial_cost = trial_residual @ trial_residual
+        predicted = -step @ (2.0 * gradient + normal @ step)
+        unresolved = predicted <= _COST_ROUNDING * cost
+        if trial_cost < cost or unresolved:
+            move = abs(step[2])
+            p, residual, cost = trial, trial_residual, trial_cost
+            damping = max(damping / 10.0, 1e-12)
+            if (move <= _TAU_XTOL * abs(p[2]) or p[2] > tau_max
+                    or (unresolved and move >= last)):
+                return p, residual, True
+            last = move
+        else:
+            damping *= 10.0
+    return p, residual, False
+
+
 def fit_decay(trajectory: Trajectory, observable: str) -> DecayFit:
     """Fit the decay time of a trajectory observable.
 
@@ -125,21 +188,20 @@ def fit_decay(trajectory: Trajectory, observable: str) -> DecayFit:
         tau0 = span / 3.0
     tau0 = min(max(tau0, span * 1e-3), span * 1e3)
 
-    result = least_squares(lambda p: _exp_model(p, t_fit) - y_fit,
-                           x0=[c_inf0, c00, tau0], method="lm",
-                           xtol=1e-15, ftol=1e-15, max_nfev=20000)
-    c_inf, c0, tau = result.x
-    residual = float(np.sqrt(np.mean(result.fun ** 2)))
+    with np.errstate(all="ignore"):  # a refused trial step may overflow
+        (c_inf, c0, tau), fun, ended = _levenberg_marquardt(
+            t_fit, y_fit, [c_inf0, c00, tau0], _MAX_SPANS * span)
+    residual = float(np.sqrt(np.mean(fun ** 2)))
     amplitude = abs(c0 - c_inf)
     rms = residual / amplitude if amplitude > 0 else np.inf
 
-    if not np.isfinite([c_inf, c0, tau]).all() or not result.success:
+    if not np.isfinite([c_inf, c0, tau]).all() or not ended:
         raise NumericalError("decay fit did not converge")
     if tau <= 0 or amplitude < 1e-12 * max(scale, 1.0):
         raise NoDecayError(f"{observable} shows no exponential decay on the window")
-    if tau > 100.0 * span:
+    if tau > _MAX_SPANS * span:
         raise NoDecayError(f"fitted time constant {tau * US_PER_PS:.3g} us exceeds "
-                           f"100x the window span")
+                           f"{_MAX_SPANS:g}x the window span")
     return DecayFit(tau=float(tau) * US_PER_PS, c0=float(c0), c_inf=float(c_inf),
                     rms_residual=rms, observable=observable, envelope=envelope)
 

@@ -25,20 +25,22 @@ and a double time integral of it, Q'' = gamma, is
 
 with slope Q'(0) = 2 i hbar alpha w_c. ``influence`` builds every
 coefficient from second differences of Q, in which the integration
-constants cancel. gamma needs the trigamma function at complex argument,
-which scipy does not provide; ``_trigamma`` evaluates it in a dozen lines.
+constants cancel. gamma needs the trigamma function and Q the real part of
+the log-gamma function, both at complex argument; ``_trigamma`` and
+``_log_gamma_real`` evaluate them with numpy alone, by recurrence shifts
+and the asymptotic series.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import SaturationError
 from .units import HBAR, thermal_beta
 
-# Bernoulli numbers B_2 .. B_16 of the asymptotic trigamma series.
+# Bernoulli numbers B_2 .. B_16 of the asymptotic trigamma and log-gamma series.
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -111,6 +113,31 @@ def _trigamma(w):
     return total + (1.0 + 0.5 / w + series) / w
 
 
+def _log_gamma_real(w):
+    """Re ln Gamma(w) for complex w with Re w >= 1.
+
+    Eight recurrence shifts ln Gamma(w) = ln Gamma(w + 8) - ln prod_k (w + k)
+    move the argument to z = w + 8, where Stirling's series
+    (z - 1/2) ln z - z + ln(2 pi) / 2 + sum_k B_2k / (2k (2k - 1) z^(2k-1))
+    through B_16 is exact in double precision. The shift is one product of
+    the factors (w + k) / z, each of modulus in [1/9, 1], so it neither
+    overflows nor underflows at any finite w, and it takes one logarithm
+    where a sum would take eight.
+    """
+    z = w + 8.0
+    u = 1.0 / z
+    shift = 1.0
+    for k in range(8):
+        shift = shift * ((w + k) * u)
+    u2 = u * u
+    series = 0.0
+    for n, b2k in reversed(list(enumerate(_BERNOULLI, start=1))):
+        series = series * u2 + b2k / (2 * n * (2 * n - 1))
+    # the factor z^8 taken out of the shift product joins (z - 1/2) ln z
+    return (((z - 8.5) * np.log(z)).real - z.real + _HALF_LOG_2PI
+            + (series * u).real - np.log(np.abs(shift)))
+
+
 def _scaled_times(bath: OhmicBath, t):
     """(z, b) of the closed forms at finite t >= 0, and whether t was a scalar."""
     times = np.asarray(t, dtype=float)
@@ -143,9 +170,10 @@ def response_integral(bath: OhmicBath, t) -> complex | np.ndarray:
     ``response_function``.
     """
     z, b, scalar = _scaled_times(bath, t)
+    z = np.atleast_1d(z)  # a scalar takes the array path, so it gets the same bits
     q = 2.0 * HBAR * bath.alpha * (np.conj(np.log(z))
-                                   - 2.0 * loggamma(1.0 + z / (2.0 * b)).real)
-    return complex(q) if scalar else q
+                                   - 2.0 * _log_gamma_real(1.0 + z / (2.0 * b)))
+    return complex(q[0]) if scalar else q
 
 
 def memory_time(bath: OhmicBath, threshold: float) -> float:

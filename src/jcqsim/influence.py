@@ -105,15 +105,16 @@ def eta_coefficients(bath: OhmicBath, dt: float, n_steps: int, dk_max: int) -> E
 
     widths = np.array([dt, 0.5 * dt])
     slope = 2j * HBAR * bath.alpha * bath.omega_c  # Q'(0), from the form of Q in bath
-    q0 = response_integral(bath, 0.0)
-    self_eta = response_integral(bath, widths) - q0 - widths * slope
     # the four cell-edge differences a2 - b1, a2 - b2, a1 - b1, a1 - b2 of
     # each class, at least dk - 1 >= 0 in units of dt
     late, early = _PAIR_CELLS[:, 0], _PAIR_CELLS[:, 1]
     edges = late[:, [1, 1, 0, 0]] - early[:, [0, 1, 0, 1]]
     dk = np.arange(1, dk_max + 1)
-    q = response_integral(bath, (dk[:, None] + edges[:, None, :]) * dt)
-    pair = q @ np.array([1.0, -1.0, -1.0, 1.0])
+    pair_times = (dk[:, None] + edges[:, None, :]) * dt
+    # one evaluation of Q covers Q(0), the self widths and every pair edge
+    q = response_integral(bath, np.concatenate([[0.0], widths, pair_times.ravel()]))
+    self_eta = q[1:3] - q[0] - widths * slope
+    pair = q[3:].reshape(pair_times.shape) @ np.array([1.0, -1.0, -1.0, 1.0])
 
     return EtaTable(dt=dt, dk_max=dk_max, eta_self_interior=complex(self_eta[0]),
                     eta_self_end=complex(self_eta[1]), eta_pair_interior=pair[0],

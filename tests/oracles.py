@@ -7,6 +7,8 @@ checks the formula. The influence coefficients are reduced to
 one-dimensional time-domain integrals of gamma against the geometric
 overlap kernel of the two integration cells, avoiding the package's route
 through the double integral Q. These are slow, so their results are cached.
+``projected_fit_tau`` finds the least-squares decay time by bisection, with
+none of the fit's iteration.
 """
 
 from functools import cache
@@ -184,3 +186,42 @@ def per_step_evolve_window(rho0v, transfer, table, n_steps, every):
             samples[si] = (e2d * itm._readout_factor(min(n, m + 1), table)).sum(axis=0)
             si += 1
     return samples
+
+
+def _projected_slope(t, y, tau):
+    """Half the tau-derivative of min over (c_inf, c0) of |c_inf + (c0 - c_inf) e^(-t/tau) - y|^2.
+
+    The two amplitudes are linear, so they are solved for each tau from the
+    2 x 2 normal equations; by the envelope theorem the derivative is then
+    r . d(model)/dtau. All in long double, so that the sign is right closer
+    to the root than double rounding allows.
+    """
+    t, y, tau = np.asarray(t, np.longdouble), np.asarray(y, np.longdouble), np.longdouble(tau)
+    decay = np.exp(-t / tau)
+    rise = 1.0 - decay
+    a, b, d = rise @ rise, rise @ decay, decay @ decay
+    u, v = rise @ y, decay @ y
+    det = a * d - b * b
+    c_inf, c0 = (u * d - v * b) / det, (a * v - b * u) / det
+    residual = c_inf * rise + c0 * decay - y
+    return residual @ ((c0 - c_inf) * decay * t / (tau * tau))
+
+
+def projected_fit_tau(t, y, lo: float, hi: float) -> float:
+    """Decay time of the least-squares exponential fit to (t, y), by bisection.
+
+    Halves [lo, hi], which must bracket one sign change of the projected
+    residual's derivative, until no double lies between its ends.
+    """
+    slope_lo = _projected_slope(t, y, lo)
+    if slope_lo * _projected_slope(t, y, hi) >= 0.0:
+        raise ValueError(f"[{lo}, {hi}] does not bracket a minimum")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        slope_mid = _projected_slope(t, y, mid)
+        if (slope_mid < 0.0) == (slope_lo < 0.0):
+            lo, slope_lo = mid, slope_mid
+        else:
+            hi = mid

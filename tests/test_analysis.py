@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from jcqsim import (ConfigError, NoDecayError, OhmicBath, QubitParameters,
-                    bloch_decoherence_time, compare, fit_decay)
+                    bloch_decoherence_time, build_transfer_tensor, compare,
+                    eta_coefficients, fit_decay, initial_state, propagate,
+                    short_time_propagator)
+from jcqsim.analysis import US_PER_PS, _local_maxima, step_count
 from jcqsim.itm import Trajectory
 
-from conftest import PAPER_TAU2_BLOCH_US
+from conftest import PAPER_DT, PAPER_SAMPLE_EVERY, PAPER_TAU2_BLOCH_US
+from oracles import projected_fit_tau
 
 
 def _synthetic_trajectory(times_ps, rho01, rho00=None):
@@ -113,6 +117,26 @@ class TestFitDecay:
         # the population observable sees the same dephasing envelope
         fit2 = fit_decay(paper_trajectory, "rho00")
         assert fit2.tau == pytest.approx(fit.tau, rel=0.02)
+
+    @pytest.mark.parametrize("temperature, dk_max, t_max", [
+        pytest.param(30.0, 1, 3.0e6, id="paper"),
+        pytest.param(100.0, 2, 1.0e6, id="dk2-100mK-1us"),
+    ])
+    def test_tau_is_the_least_squares_minimum(self, paper_qubit, temperature, dk_max, t_max):
+        # compare prints tau to 12 digits, so the fit must settle it there
+        # rather than stop where the cost stops changing
+        bath = OhmicBath(alpha=5e-6, omega_c=5.0, temperature=temperature)
+        n_steps = step_count(t_max, PAPER_DT)
+        table = eta_coefficients(bath, PAPER_DT, n_steps, dk_max)
+        transfer = build_transfer_tensor(short_time_propagator(paper_qubit, PAPER_DT), table)
+        trajectory = propagate(initial_state("zero"), transfer, table, n_steps,
+                               sample_every=PAPER_SAMPLE_EVERY)
+        fit = fit_decay(trajectory, "im_rho01")
+        assert fit.envelope
+        envelope = np.abs(trajectory.im_rho01)
+        peaks = _local_maxima(envelope)
+        root = projected_fit_tau(trajectory.times[peaks], envelope[peaks], 0.5e6, 2.0e6)
+        assert fit.tau == pytest.approx(root * US_PER_PS, rel=1e-12)
 
     def test_cadence_invariance(self, paper_trajectory):
         fit = fit_decay(paper_trajectory, "im_rho01")

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -167,6 +168,26 @@ def test_trigamma_matches_mpmath():
                         1.0 + 10.0 ** rng.uniform(-3.0, 6.0, 50) * (0.02 - 1j)])
     ref = np.array([complex(mp.polygamma(1, complex(x))) for x in w])
     assert np.abs(_trigamma(w) / ref - 1.0).max() < 1e-14
+
+
+def test_log_gamma_matches_mpmath():
+    # Q is a difference of log-gammas, so check Re ln Gamma alone on
+    # Re w >= 1: the trigamma sample, then out to |w| = 1e300, where a plain
+    # product of the eight shifts would overflow
+    from jcqsim.bath import _log_gamma_real
+
+    rng = np.random.default_rng(3)
+    w = np.concatenate([1.0 + rng.uniform(0.0, 3.0, 50) - 1j * rng.uniform(0.0, 5.0, 50),
+                        1.0 + 10.0 ** rng.uniform(-3.0, 6.0, 50) * (0.02 - 1j),
+                        1.0 + 10.0 ** rng.uniform(6.0, 300.0, 50) * (0.02 - 1j),
+                        [1.0, 2.0, 1.0 - 1e300j, 1e300, 1e300 - 1e300j]])
+    with mp.workdps(30):
+        ref = np.array([float(mp.re(mp.loggamma(complex(x)))) for x in w])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = _log_gamma_real(w)
+    assert np.isfinite(values).all()
+    assert (np.abs(values - ref) / np.maximum(1.0, np.abs(ref))).max() <= 1e-14
 
 
 class TestResponseIntegral:

@@ -1,5 +1,8 @@
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -15,6 +18,7 @@ from jcqsim.influence import EtaTable
 from jcqsim.itm import ROW_CAP
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +241,18 @@ class TestCompareCommand:
         code, _, _ = run_cli(capsys, "compare", "--t-max-ps", "1e6")
         assert code == EXIT_OK
 
+    def test_flat_observable_is_no_decay(self, tmp_path, capsys):
+        # rho00 of the plus state moves by 1.4e-11 over the 3 us run, and the
+        # fit's cost keeps falling as tau grows without bound
+        out_file = tmp_path / "cmp.csv"
+        code, _, err = run_cli(capsys, "compare", "--initial-state", "plus",
+                               "--observable", "rho00", "--dk-max", "2",
+                               "--output", str(out_file))
+        assert code == EXIT_NUMERICAL
+        assert re.fullmatch(r"error: fitted time constant \S+ us exceeds 100x the window span\n",
+                            err)
+        assert not out_file.exists()
+
 
 class TestRowCap:
 
@@ -418,3 +434,14 @@ class TestConfigHandling:
         parser = make_parser()
         for argv in commands:
             parser.parse_args(argv[1:])
+
+
+def test_import_loads_no_scipy():
+    # the runtime needs numpy alone, and importing scipy would dominate the
+    # start-up of every jcqsim process
+    code = ("import sys, jcqsim, jcqsim.cli; "
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))")
+    path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+    run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
