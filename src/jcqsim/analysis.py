@@ -31,7 +31,7 @@ _MIN_PEAKS = 8
 _TAU_XTOL = 1e-15
 # a predicted cost reduction below this fraction of the cost is lost in its rounding
 _COST_ROUNDING = 1e-13
-_MAX_ITERATIONS = 1000
+_MAX_ITERATIONS = 20000
 # a fitted tau beyond this many window spans is no decay
 _MAX_SPANS = 100.0
 
