@@ -178,11 +178,13 @@ def fit_decay(trajectory: Trajectory, observable: str) -> DecayFit:
     tail = max(1, len(y_fit) // 10)
     c_inf0 = float(y_fit[-tail:].mean())
     c00 = float(y_fit[0])
-    # log-linear seed for tau on the samples clearly above the asymptote
+    # log-linear seed for tau: the least-squares slope of log(vals) against t
+    # on the samples clearly above the asymptote
     vals = np.sign(c00 - c_inf0) * (y_fit - c_inf0)
     ok = vals > 0.05 * max(abs(c00 - c_inf0), 1e-30)
     if ok.sum() >= 2:
-        slope = np.polyfit(t_fit[ok], np.log(vals[ok]), 1)[0]
+        t_ok = t_fit[ok] - t_fit[ok].mean()
+        slope = t_ok @ np.log(vals[ok]) / (t_ok @ t_ok)
         tau0 = -1.0 / slope if slope < 0 else span
     else:
         tau0 = span / 3.0

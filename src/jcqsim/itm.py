@@ -40,12 +40,15 @@ them and, if the run walks a block, their coordinates P. X^H A X holds
 A's largest eigenvalues: if it is not finite or its spectral radius
 exceeds ``SLOW_RADIUS``, A grows without bound and the run is refused
 with InstabilityError at step M + 1.
-The ramp and the transient are stepped up to the first block boundary
-where the window f lies in span X; from there f = X y. Pushing X through
-L steps gives the block map H_L = P A^L X and the sample map
-S = R A^(L-1) X. ``_sweep`` lists the block start windows
-y_{i+1} = H_L y_i by doubling, and each sample is S y_i. The partial last
-block is stepped, and so is every block if the iteration does not
+The ramp is stepped to step M, and the transient on to the first block
+boundary, or step M itself, where the window f lies in span X; from there
+f = X y and no step is taken one at a time. Pushing X through L steps
+gives the block map H_L = P A^L X and the sample map S_L = R A^(L-1) X;
+the same push gives H_j and S_j for the two partial blocks, from step M
+to the next sample and the last one. ``_sweep`` lists the block start
+windows y_{i+1} = H_L y_i by doubling, and each sample is S_L y_i. At
+M = 1 the window has q = 4 entries and lies in span X, so the walk starts
+right after the ramp. Every block is stepped if the iteration does not
 converge or the transient does not settle. A non-finite sample raises
 InstabilityError at its step.
 
@@ -251,13 +254,20 @@ def _slow_modes(transfer, walks):
     return None
 
 
-def _block_map(x, p, g2d, c2d, length):
-    """H_L = P A^L X and S = R A^(L-1) X for L = ``length``."""
-    power = x
-    for _ in range(length - 1):
-        power = window_step(power, g2d)
-    sample = (g2d * c2d).T @ power
-    return p @ window_step(power, g2d), sample
+def _block_map(x, p, g2d, c2d, lengths):
+    """{L: (H_L, S_L)} with H_L = P A^L X and S_L = R A^(L-1) X, for each L in ``lengths``.
+
+    One push of X through max(lengths) steps; the shorter maps are read off its
+    intermediate powers.
+    """
+    r = (g2d * c2d).T
+    maps, power = {}, x
+    for length in range(1, max(lengths) + 1):
+        pushed = window_step(power, g2d)
+        if length in lengths:
+            maps[length] = p @ pushed, r @ power
+        power = pushed
+    return maps
 
 
 def _sweep(f, power, k):
@@ -278,8 +288,8 @@ def _sweep(f, power, k):
     return rows
 
 
-def _step_block(f, transfer, table, correction, start, end):
-    """Steps start+1..end one at a time; returns (f, readout at end).
+def _step_block(f, transfer, table, correction, start, end, read=True):
+    """Steps start+1..end one at a time; returns (f, readout at end, or None unless ``read``).
 
     Ramp steps build their factors at their own width and multiply into
     them; steady steps use the transfer tensor and the steady
@@ -296,7 +306,9 @@ def _step_block(f, transfer, table, correction, start, end):
         else:
             g2d = _step_factor(n - 1, transfer.k_tensor, table)
             e2d = np.multiply(f[:, None], g2d, out=g2d)
-    if end > m:
+    if not read:
+        readout = None
+    elif end > m:
         readout = (e2d * correction).sum(axis=0)
     else:
         c2d = _readout_factor(end, table)
@@ -309,8 +321,9 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     """Iterate the window from the initial 4-vector ``rho0v`` at step 0.
 
     Returns the corrected 4-vector readouts at the steps every, 2 every, ...
-    and n_steps, one row each. Blocks are stepped until the window settles
-    on the slow modes; the full blocks from there on are walked on them.
+    and n_steps, one row each. A run that walks is stepped to step M, then
+    to each block boundary, until the window settles on the slow modes;
+    every later step, partial blocks included, is walked on them.
     Raises InstabilityError from ``_slow_modes``, or at a non-finite sample.
     """
     m = transfer.dk_max
@@ -320,22 +333,33 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     first = -(-m // every)
     modes = _slow_modes(transfer, first < full) if n_steps > m else None
 
-    f = rho0v
+    f, n = rho0v, 0
     samples = np.empty((n_blocks, 4), dtype=np.complex128)
-    i = 0
-    while i < n_blocks:
-        if modes is not None and first <= i < full:
+    while n < n_steps:
+        if modes is not None and m <= n < full * every:
             x, p = modes
             y, settled = _coordinates(x, p, f)
             if settled:
-                h, sample = _block_map(x, p, transfer.step, correction, every)
+                # the partial block up to the next sample, the full blocks, the last partial one
+                head, tail, i = -n % every, n_steps % every, -(-n // every)
+                maps = _block_map(x, p, transfer.step, correction, {every, head, tail} - {0})
+                if head:
+                    h, sample = maps[head]
+                    samples[i - 1], y = sample @ y, h @ y
+                h, sample = maps[every]
                 rows = _sweep(y, h.T, full - i)
                 samples[i:full] = rows[:-1] @ sample.T
-                f, i = x @ rows[-1], full
-                continue
-        f, samples[i] = _step_block(f, transfer, table, correction,
-                                    i * every, min(i * every + every, n_steps))
-        i += 1
+                if tail:
+                    samples[full] = maps[tail][1] @ rows[-1]
+                break
+        end = min(n - n % every + every, n_steps)
+        if modes is not None and n < m < end:
+            end = m  # stop at step M to see whether the window has settled
+        read = end % every == 0 or end == n_steps
+        f, readout = _step_block(f, transfer, table, correction, n, end, read)
+        if read:
+            samples[(end - 1) // every] = readout
+        n = end
     finite = np.isfinite(samples).all(axis=1)
     if not finite.all():
         step = min(int(finite.argmin() + 1) * every, n_steps)

@@ -445,3 +445,30 @@ def test_import_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    # main builds its parser once per process, so each later call must print
+    # and write what the same call prints and writes first in a fresh process
+    assert make_parser() is make_parser()
+    path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
+    monkeypatch.chdir(tmp_path)
+    calls = [["compare", "--dk-max", "2", "--no-cutoff", "--output", "report.csv"],
+             ["compare", "--output", "report.csv"],
+             ["bloch"]]
+    reports = []
+    for i, argv in enumerate(calls):
+        code, out, _ = run_cli(capsys, *argv)
+        fresh = tmp_path / f"fresh-{i}"
+        fresh.mkdir()
+        run = subprocess.run([sys.executable, "-m", "jcqsim.cli", *argv], cwd=fresh,
+                             env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                             text=True, check=False)
+        assert code == run.returncode == EXIT_OK
+        assert out == run.stdout
+        if "--output" in argv:
+            reports.append(Path("report.csv").read_text())
+            assert reports[-1] == (fresh / "report.csv").read_text()
+    header, values = reports[1].split("\n")[:2]
+    second = dict(zip(header.split(","), values.split(",")))
+    assert (second["dk_max"], second["bloch_cutoff"]) == ("1", "True")

@@ -63,14 +63,13 @@ def growing(paper_qubit, steady):
 
 @pytest.fixture
 def stepped(monkeypatch):
-    """(start, end) of every block the kernel stepped that starts at or after step M."""
+    """(start, end) of every block the kernel stepped, ramp blocks included."""
     blocks = []
     step = itm._step_block
 
-    def spy_step(f, transfer, table, correction, start, end):
-        if start >= transfer.dk_max:
-            blocks.append((start, end))
-        return step(f, transfer, table, correction, start, end)
+    def spy_step(f, transfer, table, correction, start, end, *read):
+        blocks.append((start, end))
+        return step(f, transfer, table, correction, start, end, *read)
 
     monkeypatch.setattr(itm, "_step_block", spy_step)
     return blocks
@@ -97,6 +96,8 @@ def test_backend_name():
 
 @pytest.mark.parametrize("every, n_steps", [
     pytest.param(1, N_STEPS, id="1"),
+    # blocks inside the ramp at dk_max 4 and 5
+    pytest.param(3, N_STEPS, id="3"),
     pytest.param(7, N_STEPS, id="7"),
     pytest.param(64, N_STEPS, id="64"),
     # the last block is full and walked with the others
@@ -110,15 +111,26 @@ def test_jump_route_matches_per_step(monkeypatch, stepped, steady, dk_max, every
     rho0 = initial_state("zero")
     reference = per_step_propagate(monkeypatch, rho0, transfer, table, n_steps,
                                    sample_every=every)
+    walks = []
+    block_map = itm._block_map
+
+    def spy_block_map(*args):
+        walks.append(len(stepped))
+        return block_map(*args)
+
+    monkeypatch.setattr(itm, "_block_map", spy_block_map)
     traj = propagate(rho0, transfer, table, n_steps, sample_every=every)
     np.testing.assert_array_equal(traj.times, reference.times)
     assert np.abs(traj.rhos - reference.rhos).max() <= 1e-11
-    # of the steady blocks only the transient, within TRANSIENT steps of the
-    # ramp, and a partial last block are stepped
-    partial = n_steps % every if every <= n_steps else 0
-    full = [start for start, end in stepped if end - start == every]
-    assert all(start < dk_max + TRANSIENT for start in full)
-    assert (stepped[-1:] == [(n_steps - partial, n_steps)]) == bool(partial)
+    if every > n_steps:
+        assert walks == [] and stepped == [(0, n_steps)]
+        return
+    # the walk starts once, within TRANSIENT steps of the ramp, and no block
+    # is stepped after it; at dk_max 1 it starts at step M
+    assert walks == [len(stepped)]
+    assert stepped[-1][1] < dk_max + TRANSIENT
+    if dk_max == 1:
+        assert all(end <= dk_max for _, end in stepped)
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
@@ -295,7 +307,7 @@ def test_sweep_matches_repeated_jumps(steady, dk_max, top):
     k = {"0": 0, "1": 1, "2^d-1": 63, "2^d": 64, "2^d+1": 65}[top]
     transfer, table = steady(dk_max)
     correction = itm._readout_factor(dk_max + 1, table)
-    h, _ = itm._block_map(*itm._slow_modes(transfer, True), transfer.step, correction, 64)
+    h, _ = itm._block_map(*itm._slow_modes(transfer, True), transfer.step, correction, {64})[64]
     y = np.random.default_rng(k).normal(size=4) * 0.1 + 0j
     rows = itm._sweep(y, h.T, k)
     expected = [y]
@@ -322,12 +334,12 @@ def test_steady_sweep_memory(steady):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Makes the kernel's block map H_L a CountedMatrix and resets the counts."""
+    """Makes the kernel's block maps H_j CountedMatrix and resets the counts."""
     block_map = itm._block_map
 
     def spy_block_map(*args):
-        h, sample = block_map(*args)
-        return h.view(CountedMatrix), sample
+        return {length: (h.view(CountedMatrix), sample)
+                for length, (h, sample) in block_map(*args).items()}
 
     monkeypatch.setattr(itm, "_block_map", spy_block_map)
     CountedMatrix.window_products = CountedMatrix.squarings = 0
