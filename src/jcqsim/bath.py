@@ -29,8 +29,16 @@ constants cancel. gamma needs the trigamma function and Q the real part of
 the log-gamma function, both at complex argument; ``_trigamma`` and
 ``_log_gamma_real`` evaluate them with numpy alone, by recurrence shifts
 and the asymptotic series.
+
+alpha enters gamma and Q only as the prefactor 2 hbar alpha. The bracket,
+their shape, depends on (w_c, T, t) alone: ``_response_shape`` and
+``integral_shape`` evaluate it, and every caller multiplies it by the
+prefactor. ``memory_time`` keeps the shape on its fixed grid for one bath
+shape (w_c, T) at a time, so a sweep over alpha evaluates the closed form
+once.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,13 +146,37 @@ def _log_gamma_real(w):
             + (series * u).real - np.log(np.abs(shift)))
 
 
-def _scaled_times(bath: OhmicBath, t):
-    """(z, b) of the closed forms at finite t >= 0, and whether t was a scalar."""
+def _checked_times(t):
+    """``t`` as a float array, raising ValueError unless every time is finite and >= 0."""
     times = np.asarray(t, dtype=float)
     bad = ~(np.isfinite(times) & (times >= 0.0))
     if bad.any():
         raise ValueError(f"t must be finite and >= 0, got {times[bad].ravel()[0]}")
-    return 1.0 / bath.omega_c - 1j * times, 0.5 * bath.beta * HBAR, times.ndim == 0
+    return times
+
+
+def _closed_form_args(omega_c, temperature, times):
+    """(z, b) of the closed forms at the checked ``times``."""
+    return 1.0 / omega_c - 1j * times, 0.5 * thermal_beta(temperature) * HBAR
+
+
+def _response_shape(omega_c: float, temperature: float, times: np.ndarray):
+    """gamma / (2 hbar alpha) at the checked ``times``, for the bath shape (w_c, T)."""
+    z, b = _closed_form_args(omega_c, temperature, times)
+    return np.conj(1.0 / (z * z)) + _trigamma(1.0 + z / (2.0 * b)).real / (2.0 * b * b)
+
+
+def integral_shape(omega_c: float, temperature: float, times: np.ndarray) -> np.ndarray:
+    """Q / (2 hbar alpha) at the checked ``times``, always as an array."""
+    z, b = _closed_form_args(omega_c, temperature, times)
+    z = np.atleast_1d(z)  # a scalar takes the array path, so it gets the same bits
+    return np.conj(np.log(z)) - 2.0 * _log_gamma_real(1.0 + z / (2.0 * b))
+
+
+def _gamma(bath: OhmicBath, shape):
+    """gamma from its shape."""
+    # + 0.0 turns the -0.0 of alpha = 0, and of Im gamma(0), into 0.0
+    return 2.0 * HBAR * bath.alpha * shape + 0.0
 
 
 def response_function(bath: OhmicBath, t) -> complex | np.ndarray:
@@ -153,14 +185,11 @@ def response_function(bath: OhmicBath, t) -> complex | np.ndarray:
     ``t`` is a time or an array of times; the result is a complex or a
     complex array of the same shape.
     """
-    z, b, scalar = _scaled_times(bath, t)
-    # z^2 overflows above t of about 1e154, where 1/z^2 = 0 is the right limit;
-    # + 0.0 turns the -0.0 of alpha = 0, and of Im gamma(0), into 0.0
+    times = _checked_times(t)
+    # z^2 overflows above t of about 1e154, where 1/z^2 = 0 is the right limit
     with np.errstate(over="ignore"):
-        gamma = 2.0 * HBAR * bath.alpha * (np.conj(1.0 / (z * z))
-                                           + _trigamma(1.0 + z / (2.0 * b)).real
-                                           / (2.0 * b * b)) + 0.0
-    return complex(gamma) if scalar else gamma
+        gamma = _gamma(bath, _response_shape(bath.omega_c, bath.temperature, times))
+    return complex(gamma) if times.ndim == 0 else gamma
 
 
 def response_integral(bath: OhmicBath, t) -> complex | np.ndarray:
@@ -169,11 +198,22 @@ def response_integral(bath: OhmicBath, t) -> complex | np.ndarray:
     Q'' = gamma; ``t`` is a time or an array of times, as for
     ``response_function``.
     """
-    z, b, scalar = _scaled_times(bath, t)
-    z = np.atleast_1d(z)  # a scalar takes the array path, so it gets the same bits
-    q = 2.0 * HBAR * bath.alpha * (np.conj(np.log(z))
-                                   - 2.0 * _log_gamma_real(1.0 + z / (2.0 * b)))
-    return complex(q[0]) if scalar else q
+    times = _checked_times(t)
+    q = 2.0 * HBAR * bath.alpha * integral_shape(bath.omega_c, bath.temperature, times)
+    return complex(q[0]) if times.ndim == 0 else q
+
+
+# memory_time's grid, step 0.1 ps on [0, 100 ps]
+_MEMORY_TIMES = np.arange(0.0, 100.05, 0.1)
+_MEMORY_TIMES.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=1)
+def _memory_shape(omega_c: float, temperature: float) -> np.ndarray:
+    """gamma / (2 hbar alpha) on ``_MEMORY_TIMES``, read-only: 16 KB for one bath shape."""
+    shape = _response_shape(omega_c, temperature, _MEMORY_TIMES)
+    shape.flags.writeable = False
+    return shape
 
 
 def memory_time(bath: OhmicBath, threshold: float) -> float:
@@ -187,12 +227,11 @@ def memory_time(bath: OhmicBath, threshold: float) -> float:
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    times = np.arange(0.0, 100.05, 0.1)
-    gamma = response_function(bath, times)
+    gamma = _gamma(bath, _memory_shape(bath.omega_c, bath.temperature))
     im_max = 0.75 * np.sqrt(3.0) * HBAR * bath.alpha * bath.omega_c ** 2
     re0 = abs(gamma[0].real)
     if re0 == 0.0:  # alpha = 0: no memory at all
-        return times[1]
+        return _MEMORY_TIMES[1]
     re_ratio = np.abs(gamma.real) / re0
     im_ratio = np.abs(gamma.imag) / im_max if im_max > 0.0 else np.zeros_like(re_ratio)
     ok = (re_ratio < threshold) & (im_ratio < threshold)
@@ -202,4 +241,4 @@ def memory_time(bath: OhmicBath, threshold: float) -> float:
     if idx.size == 0:
         raise SaturationError(
             f"gamma never stays below threshold {threshold} within [0, 100.0] ps")
-    return float(times[idx[0]])
+    return float(_MEMORY_TIMES[idx[0]])

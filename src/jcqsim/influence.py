@@ -23,13 +23,20 @@ The qubit couples to the bath through half the Pauli operator (the standard
 gate-charge noise convention, the same normalization under which the
 golden-rule dephasing formula used by the Bloch comparison holds), so every
 influence exponent carries the squared coupling weight (1/2)^2.
+
+alpha enters every coefficient only through Q's prefactor 2 hbar alpha; the
+rest is Q's shape (``bath.integral_shape``) at the cell edges, a function of
+(w_c, T, dt) alone. ``eta_coefficients`` keeps that shape for one grid
+(w_c, T, dt, dk_max) at a time and applies the prefactor on every call, so
+a sweep over alpha evaluates Q once.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import OhmicBath, response_integral
+from .bath import OhmicBath, integral_shape
 from .units import HBAR
 
 # Bath couples to (sigma_z / 2); exponents scale with the square.
@@ -51,6 +58,8 @@ ETA_COLUMNS = ["dk", "class", "re_eta", "im_eta"]
 _PAIR_CELLS = np.array([[(-0.5, 0.5), (-0.5, 0.5)],
                         [(-0.5, 0.5), (0.0, 0.5)],
                         [(-0.5, 0.0), (0.0, 0.5)]])
+# widths of the interior and the endpoint self cell in units of dt
+_SELF_WIDTHS = np.array([1.0, 0.5])
 
 
 @dataclass(frozen=True)
@@ -92,6 +101,24 @@ class EtaTable:
         return [(dk, kind, eta.real, eta.imag) for dk, kind, eta in etas]
 
 
+@functools.lru_cache(maxsize=1)
+def _q_shape(omega_c: float, temperature: float, dt: float, dk_max: int) -> np.ndarray:
+    """Q / (2 hbar alpha) at 0, the two self widths and every pair edge, read-only.
+
+    The pair edges are the four cell-edge differences a2 - b1, a2 - b2,
+    a1 - b1, a1 - b2 of each class and dk, at least dk - 1 >= 0 in units of
+    dt, in the order (class, dk, edge). One array of 3 + 12 dk_max values.
+    """
+    late, early = _PAIR_CELLS[:, 0], _PAIR_CELLS[:, 1]
+    edges = late[:, [1, 1, 0, 0]] - early[:, [0, 1, 0, 1]]
+    dk = np.arange(1, dk_max + 1)
+    pair_times = (dk[:, None] + edges[:, None, :]) * dt
+    shape = integral_shape(omega_c, temperature,
+                           np.concatenate([[0.0], _SELF_WIDTHS * dt, pair_times.ravel()]))
+    shape.flags.writeable = False
+    return shape
+
+
 def eta_coefficients(bath: OhmicBath, dt: float, n_steps: int, dk_max: int) -> EtaTable:
     """Build the full coefficient table for a grid of ``n_steps`` steps.
 
@@ -103,18 +130,11 @@ def eta_coefficients(bath: OhmicBath, dt: float, n_steps: int, dk_max: int) -> E
     if not 1 <= dk_max <= n_steps:
         raise ValueError(f"dk_max must satisfy 1 <= dk_max <= n_steps, got {dk_max}")
 
-    widths = np.array([dt, 0.5 * dt])
+    widths = _SELF_WIDTHS * dt
     slope = 2j * HBAR * bath.alpha * bath.omega_c  # Q'(0), from the form of Q in bath
-    # the four cell-edge differences a2 - b1, a2 - b2, a1 - b1, a1 - b2 of
-    # each class, at least dk - 1 >= 0 in units of dt
-    late, early = _PAIR_CELLS[:, 0], _PAIR_CELLS[:, 1]
-    edges = late[:, [1, 1, 0, 0]] - early[:, [0, 1, 0, 1]]
-    dk = np.arange(1, dk_max + 1)
-    pair_times = (dk[:, None] + edges[:, None, :]) * dt
-    # one evaluation of Q covers Q(0), the self widths and every pair edge
-    q = response_integral(bath, np.concatenate([[0.0], widths, pair_times.ravel()]))
+    q = 2.0 * HBAR * bath.alpha * _q_shape(bath.omega_c, bath.temperature, dt, dk_max)
     self_eta = q[1:3] - q[0] - widths * slope
-    pair = q[3:].reshape(pair_times.shape) @ np.array([1.0, -1.0, -1.0, 1.0])
+    pair = q[3:].reshape(3, dk_max, 4) @ np.array([1.0, -1.0, -1.0, 1.0])
 
     return EtaTable(dt=dt, dk_max=dk_max, eta_self_interior=complex(self_eta[0]),
                     eta_self_end=complex(self_eta[1]), eta_pair_interior=pair[0],

@@ -360,8 +360,8 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
         if read:
             samples[(end - 1) // every] = readout
         n = end
-    finite = np.isfinite(samples).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(samples).all():
+        finite = np.isfinite(samples).all(axis=1)
         step = min(int(finite.argmin() + 1) * every, n_steps)
         raise InstabilityError(f"non-finite density matrix at step {step}", step=step)
     return samples

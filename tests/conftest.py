@@ -20,6 +20,19 @@ def paper_bath():
 
 
 @pytest.fixture(scope="session")
+def cache_baths():
+    """Baths in an order that reuses and replaces the alpha-free bath shape (w_c, T).
+
+    The paper's shape at a second alpha, a new temperature, a new cutoff,
+    alpha = 0, then the paper's shape again at a nonzero alpha.
+    """
+    return [OhmicBath(alpha=alpha, omega_c=omega_c, temperature=temperature)
+            for alpha, omega_c, temperature in [
+                (5e-6, 5.0, 30.0), (4.2e-6, 5.0, 30.0), (5e-6, 5.0, 100.0),
+                (5e-6, 0.5, 30.0), (0.0, 5.0, 30.0), (4.2e-6, 5.0, 30.0)]]
+
+
+@pytest.fixture(scope="session")
 def paper_qubit():
     return QubitParameters(e_j=51.8, e_c=122.0, n_g=0.5)
 

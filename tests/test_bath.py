@@ -8,6 +8,8 @@ import pytest
 from jcqsim import (HBAR, OhmicBath, SaturationError, eta_coefficients, memory_time,
                     power_spectrum, response_function, response_integral,
                     spectral_density, thermal_beta)
+from jcqsim.bath import _MEMORY_TIMES, _memory_shape
+from jcqsim.influence import _q_shape
 from oracles import analytic_gamma, trapezoid_gamma
 
 
@@ -261,13 +263,36 @@ class TestMemoryTime:
         bath = OhmicBath(alpha=5e-6, omega_c=omega_c, temperature=temperature)
         assert memory_time(bath, threshold) == pytest.approx(expected, abs=1e-9)
 
+    def test_cached_shape_gives_the_cold_call_bits(self, cache_baths):
+        # each bath reuses the shape left by the one before it whenever
+        # (w_c, T) repeats, the last one a shape filled at alpha = 0
+        _memory_shape.cache_clear()
+        reused = []
+        for bath in cache_baths:
+            hits = _memory_shape.cache_info().hits
+            warm = [memory_time(bath, 0.5)]
+            reused.append(_memory_shape.cache_info().hits > hits)
+            warm += [memory_time(bath, threshold) for threshold in (0.05, 0.01)]
+            _memory_shape.cache_clear()
+            assert warm == [memory_time(bath, threshold) for threshold in (0.5, 0.05, 0.01)]
+        assert reused == [False, True, False, False, False, True]
+
+    def test_cached_shape_is_read_only(self, paper_bath):
+        memory_time(paper_bath, 0.01)
+        shape = _memory_shape(paper_bath.omega_c, paper_bath.temperature)
+        assert not shape.flags.writeable
+        assert not _MEMORY_TIMES.flags.writeable
+
 
 @pytest.mark.parametrize("work", [
     pytest.param(lambda bath: memory_time(bath, 0.01), id="memory_time"),
     pytest.param(lambda bath: eta_coefficients(bath, 12.707, 64, 64), id="eta-192-rows"),
 ])
 def test_working_memory_bounded(paper_bath, work):
-    # both evaluate closed forms on at most a few thousand times
+    # both evaluate closed forms on at most a few thousand times; measure a
+    # cold call, whatever an earlier test left in the shape caches
+    _memory_shape.cache_clear()
+    _q_shape.cache_clear()
     tracemalloc.start()
     try:
         work(paper_bath)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jcqsim import HBAR, OhmicBath, eta_coefficients
-from jcqsim.influence import (COUPLING_WEIGHT, ENDPOINT, INTERIOR, pair_class,
+from jcqsim.influence import (COUPLING_WEIGHT, ENDPOINT, INTERIOR, _q_shape, pair_class,
                               pair_factor_table, self_factor_table)
 from oracles import (eta_pair_time_domain, eta_pair_trapezoid_2d,
                      eta_self_time_domain, monolithic_influence)
@@ -48,6 +48,31 @@ def test_entries_independent_of_dk_max(paper_bath):
         assert np.abs(getattr(wide, name)[:4] - getattr(narrow, name)).max() <= 1e-15 * scale
     assert wide.eta_self_interior == narrow.eta_self_interior
     assert wide.eta_self_end == narrow.eta_self_end
+
+
+def test_cached_shape_gives_the_cold_call_bits(cache_baths):
+    # within a grid each table reuses the Q shape left by the call before it
+    # whenever (w_c, T) repeats, the last one a shape filled at alpha = 0
+    _q_shape.cache_clear()
+    for dt, dk_max in [(DT, 1), (DT, 16), (6.0, 16)]:
+        reused = []
+        for bath in cache_baths:
+            hits = _q_shape.cache_info().hits
+            warm = eta_coefficients(bath, dt, 16, dk_max).rows()
+            reused.append(_q_shape.cache_info().hits > hits)
+            _q_shape.cache_clear()
+            assert warm == eta_coefficients(bath, dt, 16, dk_max).rows()
+        assert reused == [False, True, False, False, False, True]
+
+
+def test_cached_shape_is_not_shared_with_the_table(paper_bath):
+    first = eta_coefficients(paper_bath, DT, 16, 16)
+    rows = first.rows()
+    assert not _q_shape(paper_bath.omega_c, paper_bath.temperature, DT, 16).flags.writeable
+    first.eta_pair_interior[:] = 0.0
+    hits = _q_shape.cache_info().hits
+    assert eta_coefficients(paper_bath, DT, 16, 16).rows() == rows
+    assert _q_shape.cache_info().hits == hits + 1
 
 
 def test_self_terms_damp(table):
