@@ -231,7 +231,7 @@ def memory_time(bath: OhmicBath, threshold: float) -> float:
     im_max = 0.75 * np.sqrt(3.0) * HBAR * bath.alpha * bath.omega_c ** 2
     re0 = abs(gamma[0].real)
     if re0 == 0.0:  # alpha = 0: no memory at all
-        return _MEMORY_TIMES[1]
+        return float(_MEMORY_TIMES[1])
     re_ratio = np.abs(gamma.real) / re0
     im_ratio = np.abs(gamma.imag) / im_max if im_max > 0.0 else np.zeros_like(re_ratio)
     ok = (re_ratio < threshold) & (im_ratio < threshold)

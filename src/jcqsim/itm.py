@@ -40,17 +40,18 @@ them and, if the run walks a block, their coordinates P. X^H A X holds
 A's largest eigenvalues: if it is not finite or its spectral radius
 exceeds ``SLOW_RADIUS``, A grows without bound and the run is refused
 with InstabilityError at step M + 1.
-The ramp is stepped to step M, and the transient on to the first block
-boundary, or step M itself, where the window f lies in span X; from there
-f = X y and no step is taken one at a time. Pushing X through L steps
-gives the block map H_L = P A^L X and the sample map S_L = R A^(L-1) X;
-the same push gives H_j and S_j for the two partial blocks, from step M
-to the next sample and the last one. ``_sweep`` lists the block start
-windows y_{i+1} = H_L y_i by doubling, and each sample is S_L y_i. At
-M = 1 the window has q = 4 entries and lies in span X, so the walk starts
-right after the ramp. Every block is stepped if the iteration does not
-converge or the transient does not settle. A non-finite sample raises
-InstabilityError at its step.
+Steps are taken one at a time, through the ramp and the transient, each
+read out at a sample step before it is folded. At step M, and at each
+block boundary after it, the run checks whether the window f lies in
+span X; from there f = X y and no step is taken one at a time. Pushing X
+through L steps gives the block map H_L = P A^L X and the sample map
+S_L = R A^(L-1) X; the same push gives H_j and S_j for the two partial
+blocks, from the walk's start to the next sample and the last one.
+``_sweep`` lists the block start windows y_{i+1} = H_L y_i by doubling,
+and each sample is S_L y_i. At M = 1 the window has q = 4 entries and
+lies in span X, so the walk starts right after the ramp. Every step is
+taken one at a time if the iteration does not converge or the transient
+does not settle. A non-finite sample raises InstabilityError at its step.
 
 Window tensors have 4^(M+1) entries, so the memory span is capped at
 ``SPAN_CAP``, the same bound as the path length of the path sum.
@@ -288,32 +289,15 @@ def _sweep(f, power, k):
     return rows
 
 
-def _step_block(f, transfer, table, correction, start, end, read=True):
-    """Steps start+1..end one at a time; returns (f, readout at end, or None unless ``read``).
+def _step(f, n, transfer, table):
+    """Step n on the folded window f: the (rows, 4) product, before its fold.
 
-    Ramp steps build their factors at their own width and multiply into
-    them; steady steps use the transfer tensor and the steady
-    ``correction``. Each window is folded when the next step needs it, and
-    the last one after its readout, so the folded copy never sits beside
-    the readout product.
+    A ramp step builds its factor at its own width and multiplies into it.
     """
-    m = transfer.dk_max
-    for n in range(start + 1, end + 1):
-        if n > start + 1:
-            f = e2d.reshape(4, -1).sum(axis=0) if n > m else e2d.ravel()
-        if n > m:
-            e2d = f[:, None] * transfer.step
-        else:
-            g2d = _step_factor(n - 1, transfer.k_tensor, table)
-            e2d = np.multiply(f[:, None], g2d, out=g2d)
-    if not read:
-        readout = None
-    elif end > m:
-        readout = (e2d * correction).sum(axis=0)
-    else:
-        c2d = _readout_factor(end, table)
-        readout = np.multiply(e2d, c2d, out=c2d).sum(axis=0)
-    return (e2d.reshape(4, -1).sum(axis=0) if end >= m else e2d.ravel()), readout
+    if n > transfer.dk_max:
+        return f[:, None] * transfer.step
+    g2d = _step_factor(n - 1, transfer.k_tensor, table)
+    return np.multiply(f[:, None], g2d, out=g2d)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -321,9 +305,10 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     """Iterate the window from the initial 4-vector ``rho0v`` at step 0.
 
     Returns the corrected 4-vector readouts at the steps every, 2 every, ...
-    and n_steps, one row each. A run that walks is stepped to step M, then
-    to each block boundary, until the window settles on the slow modes;
-    every later step, partial blocks included, is walked on them.
+    and n_steps, one row each. Steps are taken one at a time, each read out
+    at a sample before it is folded, until at step M or at a block boundary
+    the window settles on the slow modes; every later step, partial blocks
+    included, is walked on them.
     Raises InstabilityError from ``_slow_modes``, or at a non-finite sample.
     """
     m = transfer.dk_max
@@ -333,10 +318,19 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     first = -(-m // every)
     modes = _slow_modes(transfer, first < full) if n_steps > m else None
 
-    f, n = rho0v, 0
+    f = rho0v
     samples = np.empty((n_blocks, 4), dtype=np.complex128)
-    while n < n_steps:
-        if modes is not None and m <= n < full * every:
+    for n in range(1, n_steps + 1):
+        e2d = _step(f, n, transfer, table)
+        if n % every == 0 or n == n_steps:
+            if n > m:
+                samples[(n - 1) // every] = (e2d * correction).sum(axis=0)
+            else:
+                c2d = _readout_factor(n, table)
+                samples[(n - 1) // every] = np.multiply(e2d, c2d, out=c2d).sum(axis=0)
+                del c2d  # released before the next step's factor is built
+        f = e2d.reshape(4, -1).sum(axis=0) if n >= m else e2d.ravel()
+        if modes is not None and m <= n < full * every and (n == m or n % every == 0):
             x, p = modes
             y, settled = _coordinates(x, p, f)
             if settled:
@@ -352,14 +346,6 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
                 if tail:
                     samples[full] = maps[tail][1] @ rows[-1]
                 break
-        end = min(n - n % every + every, n_steps)
-        if modes is not None and n < m < end:
-            end = m  # stop at step M to see whether the window has settled
-        read = end % every == 0 or end == n_steps
-        f, readout = _step_block(f, transfer, table, correction, n, end, read)
-        if read:
-            samples[(end - 1) // every] = readout
-        n = end
     if not np.isfinite(samples).all():
         finite = np.isfinite(samples).all(axis=1)
         step = min(int(finite.argmin() + 1) * every, n_steps)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from jcqsim import (ConfigError, NoDecayError, OhmicBath, QubitParameters,
                     eta_coefficients, fit_decay, initial_state, propagate,
                     short_time_propagator)
 from jcqsim.analysis import US_PER_PS, _local_maxima, step_count
+from jcqsim.cli import RunConfig
 from jcqsim.itm import Trajectory
 
 from conftest import PAPER_DT, PAPER_SAMPLE_EVERY, PAPER_TAU2_BLOCH_US
@@ -147,6 +150,23 @@ class TestFitDecay:
 
 
 class TestCompare:
+
+    @pytest.mark.parametrize("dk_max, tau2_itm, ratio", [
+        pytest.param(1, 1.1090215214, 0.674773818551, id="dk1"),
+        pytest.param(2, 1.05548168939, 0.642198006278, id="dk2"),
+        pytest.param(4, 0.99510695816, 0.60546356321, id="dk4"),
+    ])
+    def test_headline_digits(self, dk_max, tau2_itm, ratio):
+        # the default run's digits as printed; 1e-9 lies far above the
+        # BLAS-dependent last digits and far below any change of the physics
+        config = dataclasses.replace(RunConfig(), dk_max=dk_max)
+        report = compare(config.qubit, config.bath, config.dt_ps, config.dk_max,
+                         config.t_max_ps, sample_every=config.sample_every,
+                         initial=config.initial_state, observable=config.observable,
+                         include_cutoff=True)
+        assert report.tau2_bloch == pytest.approx(1.64354557173, rel=1e-9)
+        assert report.tau2_itm == pytest.approx(tau2_itm, rel=1e-9)
+        assert report.ratio == pytest.approx(ratio, rel=1e-9)
 
     def test_directional_claim_short_window(self, paper_qubit, paper_bath):
         report = compare(paper_qubit, paper_bath, dt=12.707, dk_max=1, t_max=1.0e6,

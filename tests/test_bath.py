@@ -227,6 +227,12 @@ class TestMemoryTime:
     def test_loose_threshold_met_immediately(self, paper_bath):
         assert memory_time(paper_bath, 0.999) <= 0.1
 
+    @pytest.mark.parametrize("alpha", [0.0, 5e-6])
+    def test_returns_a_python_float(self, alpha):
+        # alpha = 0 takes its own branch, with no memory at all
+        bath = OhmicBath(alpha=alpha, omega_c=5.0, temperature=30.0)
+        assert type(memory_time(bath, 0.05)) is float
+
     def test_alpha_rescaling_invariance(self, paper_bath):
         doubled = OhmicBath(alpha=1e-5, omega_c=5.0, temperature=30.0)
         assert memory_time(paper_bath, 0.05) == pytest.approx(

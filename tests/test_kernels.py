@@ -63,16 +63,16 @@ def growing(paper_qubit, steady):
 
 @pytest.fixture
 def stepped(monkeypatch):
-    """(start, end) of every block the kernel stepped, ramp blocks included."""
-    blocks = []
-    step = itm._step_block
+    """n of every step n the kernel took one at a time, ramp steps included."""
+    steps = []
+    step = itm._step
 
-    def spy_step(f, transfer, table, correction, start, end, *read):
-        blocks.append((start, end))
-        return step(f, transfer, table, correction, start, end, *read)
+    def spy_step(f, n, transfer, table):
+        steps.append(n)
+        return step(f, n, transfer, table)
 
-    monkeypatch.setattr(itm, "_step_block", spy_step)
-    return blocks
+    monkeypatch.setattr(itm, "_step", spy_step)
+    return steps
 
 
 def per_step_propagate(monkeypatch, *args, **kwargs):
@@ -123,20 +123,21 @@ def test_jump_route_matches_per_step(monkeypatch, stepped, steady, dk_max, every
     np.testing.assert_array_equal(traj.times, reference.times)
     assert np.abs(traj.rhos - reference.rhos).max() <= 1e-11
     if every > n_steps:
-        assert walks == [] and stepped == [(0, n_steps)]
+        assert walks == [] and stepped == list(range(1, n_steps + 1))
         return
-    # the walk starts once, within TRANSIENT steps of the ramp, and no block
-    # is stepped after it; at dk_max 1 it starts at step M
-    assert walks == [len(stepped)]
-    assert stepped[-1][1] < dk_max + TRANSIENT
+    # the walk starts once, after steps 1..k within TRANSIENT steps of the
+    # ramp, and no step is taken after it; at dk_max 1 it starts at step M
+    k = len(stepped)
+    assert stepped == list(range(1, k + 1)) and k < dk_max + TRANSIENT
+    assert walks == [k]
     if dk_max == 1:
-        assert all(end <= dk_max for _, end in stepped)
+        assert stepped == [1]
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
 def test_growing_map_is_refused_before_the_run(stepped, growing, dk_max):
     # a slow modulus of about 1.0008 is refused at the first steady step,
-    # before any block is stepped or walked
+    # before any step is taken one at a time or walked
     transfer, table = growing(dk_max)
     with pytest.raises(InstabilityError, match="spectral radius 1.0007") as info:
         propagate(initial_state("zero"), transfer, table, N_GROWING, sample_every=64)
@@ -200,7 +201,7 @@ def test_non_finite_steady_map_is_refused(paper_qubit):
 
 @pytest.mark.parametrize("dk_max", [1, 2])
 def test_non_finite_sample_raises_at_its_step(monkeypatch, paper_qubit, dk_max):
-    # without slow modes every block is stepped; an amplifying map then
+    # without slow modes every step is taken; an amplifying map then
     # overflows, and the first non-finite sample is reported without a warning
     monkeypatch.setattr(itm, "SLOW_ITERATIONS", 0)
     table = amplifying_table(dk_max, -1000.0)
@@ -259,7 +260,7 @@ def test_walk_waits_for_the_transient(monkeypatch, paper_qubit, dk_max):
     # the coordinates P have a 2-norm of about 100
     pytest.param(10.0, 1.0, 3, 300.0, True, id="alpha10-dt1"),
     # the adjoint basis has not converged and P has a 2-norm of about 1e20,
-    # so the window never settles and every block is stepped
+    # so the window never settles and every step is taken one at a time
     pytest.param(10.0, 5.0, 3, 300.0, False, id="alpha10-dt5"),
 ])
 def test_strong_coupling_maps_are_never_refused(monkeypatch, stepped, paper_qubit, alpha, dt,
@@ -271,12 +272,12 @@ def test_strong_coupling_maps_are_never_refused(monkeypatch, stepped, paper_qubi
     reference = per_step_propagate(monkeypatch, rho0, transfer, table, 2000, sample_every=7)
     traj = propagate(rho0, transfer, table, 2000, sample_every=7)
     assert np.abs(traj.rhos - reference.rhos).max() <= 1e-11
-    # past the ramp, walked runs step only the transient and the partial last block
-    full = [start for start, end in stepped if end - start == 7]
+    # walked runs step only the ramp and the transient
     if walked:
-        assert all(start < dk_max + TRANSIENT for start in full)
+        assert stepped == list(range(1, len(stepped) + 1))
+        assert len(stepped) < dk_max + TRANSIENT
     else:
-        assert full == list(range(7, 1995, 7))
+        assert stepped == list(range(1, 2001))
 
 
 class CountedMatrix(np.ndarray):

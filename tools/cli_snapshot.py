@@ -44,7 +44,7 @@ CALLS = {
                     "--output", "trajectory.csv"],
     "evolve-dump-eta": ["evolve", "--dk-max", "4", "--t-max-ps", "1e5", "--sample-every", "7",
                         "--dump-eta", "eta.csv", "--output", "trajectory.csv"],
-    # the window never settles, so every block is stepped
+    # the window never settles, so every step is taken one at a time
     "evolve-stepped": ["evolve", "--alpha", "10", "--dt-ps", "5", "--dk-max", "3",
                        "--temperature-mK", "300", "--t-max-ps", "1e4", "--sample-every", "7",
                        "--output", "trajectory.csv"],
