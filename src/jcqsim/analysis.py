@@ -5,9 +5,10 @@ The Markovian baseline at the gate-charge sweet spot (B_z = 0) is
     1/tau_1 = 2/tau_2 = J(w_0) coth(beta hbar w_0 / 2) / (2 hbar),
 
 with w_0 = B_x / hbar, so the dephasing time is exactly twice the
-relaxation time. The non-Markovian number comes from fitting a decaying
-exponential (with free asymptote) to an ITM trajectory observable; for
-oscillatory observables the fit runs on the envelope of local extrema.
+relaxation time. The non-Markovian number is the least-squares fit of
+c_inf + (c0 - c_inf) e^(-t/tau) to an ITM trajectory observable, or to
+the envelope of its local maxima if it oscillates, by variable projection
+(Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
 Nothing here defaults a run setting: ``cli.RunConfig`` owns the default run.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bath import OhmicBath, spectral_density
-from .errors import ConfigError, NoDecayError, NumericalError
+from .errors import ConfigError, NoDecayError
 from .influence import eta_coefficients
 from .itm import Trajectory, build_transfer_tensor, propagate
 from .qubit import QubitParameters, initial_state, short_time_propagator
@@ -27,11 +28,6 @@ US_PER_PS = 1e-6
 FIT_OBSERVABLES = ("abs_rho01", "re_rho01", "im_rho01", "rho00", "rho11")
 # envelope fitting kicks in when this many oscillation peaks are present
 _MIN_PEAKS = 8
-# the fit stops once a step moves tau by at most this fraction of tau
-_TAU_XTOL = 1e-15
-# a predicted cost reduction below this fraction of the cost is lost in its rounding
-_COST_ROUNDING = 1e-13
-_MAX_ITERATIONS = 20000
 # a fitted tau beyond this many window spans is no decay
 _MAX_SPANS = 100.0
 
@@ -75,7 +71,7 @@ def bloch_decoherence_time(params: QubitParameters, bath: OhmicBath,
         j_val = 2.0 * np.pi * HBAR * bath.alpha * omega0
     rate1 = j_val / np.tanh(0.5 * bath.beta * HBAR * omega0) / (2.0 * HBAR)
     tau1_ps = 1.0 / rate1
-    return tau1_ps * US_PER_PS, 2.0 * tau1_ps * US_PER_PS
+    return float(tau1_ps * US_PER_PS), float(2.0 * tau1_ps * US_PER_PS)
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:
@@ -85,66 +81,68 @@ def _local_maxima(y: np.ndarray) -> np.ndarray:
     return np.nonzero((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:]))[0] + 1
 
 
-def _exp_model(p, t):
-    c_inf, c0, tau = p
-    return c_inf + (c0 - c_inf) * np.exp(-t / tau)
+def _projected(t, y, tau):
+    """(c_inf, c0, residual, slope) of the least-squares fit at a fixed tau.
 
-
-def _exp_jacobian(p, t):
-    """Columns d/dc_inf, d/dc0 and d/dtau of ``_exp_model``."""
-    c_inf, c0, tau = p
-    decay = np.exp(-t / tau)
-    return np.column_stack([1.0 - decay, decay, (c0 - c_inf) * decay * t / (tau * tau)])
-
-
-def _levenberg_marquardt(t, y, p, tau_max):
-    """Least-squares fit of ``_exp_model`` to (t, y) from p; (p, residual, ended).
-
-    Each step solves (J^T J + damping D) d = -J^T r, with D the largest
-    diagonal of J^T J seen so far, or 1 where that is 0 (Marquardt's
-    scaling, as in MINPACK). A step is taken if it lowers the cost, or if
-    the reduction it predicts is below the cost's rounding, so that the
-    cost cannot judge it; otherwise it is refused and the damping grows.
-    Near the minimum the cost stops resolving steps long before tau is
-    settled, so the fit ends on its step in tau, at a taken step that
-
-    - moves tau by at most ``_TAU_XTOL`` of tau;
-    - is unresolved and moves tau no less than the taken step before it:
-      the steps have reached the rounding of the gradient;
-    - carries tau past ``tau_max``, a time the caller refuses: towards it
-      the minimum recedes along a flat valley.
-
-    ``ended`` is False if none of these happens within ``_MAX_ITERATIONS``.
+    The amplitudes are solved on the centred decay; residual = model - y.
+    ``slope`` has the sign of the cost's derivative in tau: the amplitude
+    times the residual's product with d/dtau of the decay, less its part in
+    span{1, decay}, to which the residual is orthogonal but for rounding.
     """
-    p = np.asarray(p, dtype=float)
-    residual = _exp_model(p, t) - y
-    cost = residual @ residual
-    damping = 1e-3
-    scale = np.zeros(3)
-    last = np.inf
-    for _ in range(_MAX_ITERATIONS):
-        jac = _exp_jacobian(p, t)
-        normal = jac.T @ jac
-        gradient = jac.T @ residual
-        scale = np.maximum(scale, np.diag(normal))
-        step = np.linalg.solve(normal + damping * np.diag(np.where(scale > 0.0, scale, 1.0)),
-                               -gradient)
-        trial = p + step
-        trial_residual = _exp_model(trial, t) - y
-        trial_cost = trial_residual @ trial_residual
-        predicted = -step @ (2.0 * gradient + normal @ step)
-        unresolved = predicted <= _COST_ROUNDING * cost
-        if trial_cost < cost or unresolved:
-            move = abs(step[2])
-            p, residual, cost = trial, trial_residual, trial_cost
-            damping = max(damping / 10.0, 1e-12)
-            if (move <= _TAU_XTOL * abs(p[2]) or p[2] > tau_max
-                    or (unresolved and move >= last)):
-                return p, residual, True
-            last = move
+    decay = np.exp(t / -tau)
+    mean, y_mean = decay.sum() / len(t), y.sum() / len(t)  # as .mean(), without its overhead
+    centred = decay - mean
+    norm = centred @ centred
+    amplitude = centred @ y / norm
+    c_inf = y_mean - amplitude * mean
+    residual = amplitude * centred - (y - y_mean)
+    grad = decay * t
+    grad = grad - grad.sum() / len(t) - (centred @ grad / norm) * centred
+    return c_inf, c_inf + amplitude, residual, amplitude * (residual @ grad)
+
+
+@np.errstate(invalid="ignore")  # a decay that underflows everywhere: 0/0, not negative
+def _least_squares_tau(t, y, span, observable):
+    """(tau, c_inf, c0, residual) at the root of ``_projected``'s slope.
+
+    From span / 3, tau doubles while the slope is negative, or halves while
+    it is not, to bracket its sign change; NoDecayError if the cost still
+    falls past ``_MAX_SPANS`` spans, or still rises below the smallest
+    sample spacing. The Illinois rule then shrinks the bracket until no
+    double lies inside; the end with the smaller |slope| is the fit. A
+    secant point that rounds onto an end moves one double inside, where
+    bisecting would take some 25 more steps.
+    """
+    lo = hi = span / 3.0
+    fit_lo = fit_hi = _projected(t, y, lo)
+    while fit_hi[3] < 0.0:
+        if hi > _MAX_SPANS * span:
+            raise NoDecayError(f"fitted time constant {hi * US_PER_PS:.3g} us exceeds "
+                               f"{_MAX_SPANS:g}x the window span")
+        lo, fit_lo, hi = hi, fit_hi, 2.0 * hi
+        fit_hi = _projected(t, y, hi)
+    while not fit_lo[3] < 0.0:
+        if lo < np.diff(t).min():
+            raise NoDecayError(f"{observable} shows no exponential decay on the window")
+        hi, fit_hi, lo = lo, fit_lo, 0.5 * lo
+        fit_lo = _projected(t, y, lo)
+    # secant weights: the Illinois rule halves the one at an end kept twice
+    s_lo, s_hi, moved = fit_lo[3], fit_hi[3], 0
+    while np.nextafter(lo, hi) < hi:
+        tau = lo - s_lo * (hi - lo) / (s_hi - s_lo)
+        tau = min(max(tau, np.nextafter(lo, hi)), np.nextafter(hi, lo))
+        fit = _projected(t, y, tau)
+        if fit[3] < 0.0:
+            if moved < 0:
+                s_hi *= 0.5
+            lo, fit_lo, s_lo, moved = tau, fit, fit[3], -1
         else:
-            damping *= 10.0
-    return p, residual, False
+            if moved > 0:
+                s_lo *= 0.5
+            hi, fit_hi, s_hi, moved = tau, fit, fit[3], 1
+    tau, (c_inf, c0, residual, _) = min((lo, fit_lo), (hi, fit_hi),
+                                        key=lambda end: abs(end[1][3]))
+    return tau, c_inf, c0, residual
 
 
 def fit_decay(trajectory: Trajectory, observable: str) -> DecayFit:
@@ -152,8 +150,7 @@ def fit_decay(trajectory: Trajectory, observable: str) -> DecayFit:
 
     Needs at least 50 samples. Oscillatory data (enough local maxima of the
     magnitude spread over the window) is reduced to its extremum envelope
-    before fitting. Non-decaying data raises NoDecayError; a diverged fit
-    raises NumericalError.
+    before fitting. Non-decaying data raises NoDecayError.
     """
     if observable not in FIT_OBSERVABLES:
         raise ValueError(f"observable must be one of {FIT_OBSERVABLES}, got {observable!r}")
@@ -175,37 +172,16 @@ def fit_decay(trajectory: Trajectory, observable: str) -> DecayFit:
     if scale == 0.0 or y_fit.std() < 1e-13 * max(scale, 1.0):
         raise NoDecayError(f"{observable} is constant over the window")
 
-    tail = max(1, len(y_fit) // 10)
-    c_inf0 = float(y_fit[-tail:].mean())
-    c00 = float(y_fit[0])
-    # log-linear seed for tau: the least-squares slope of log(vals) against t
-    # on the samples clearly above the asymptote
-    vals = np.sign(c00 - c_inf0) * (y_fit - c_inf0)
-    ok = vals > 0.05 * max(abs(c00 - c_inf0), 1e-30)
-    if ok.sum() >= 2:
-        t_ok = t_fit[ok] - t_fit[ok].mean()
-        slope = t_ok @ np.log(vals[ok]) / (t_ok @ t_ok)
-        tau0 = -1.0 / slope if slope < 0 else span
-    else:
-        tau0 = span / 3.0
-    tau0 = min(max(tau0, span * 1e-3), span * 1e3)
-
-    with np.errstate(all="ignore"):  # a refused trial step may overflow
-        (c_inf, c0, tau), fun, ended = _levenberg_marquardt(
-            t_fit, y_fit, [c_inf0, c00, tau0], _MAX_SPANS * span)
-    residual = float(np.sqrt(np.mean(fun ** 2)))
+    tau, c_inf, c0, residual = _least_squares_tau(t_fit, y_fit, span, observable)
     amplitude = abs(c0 - c_inf)
-    rms = residual / amplitude if amplitude > 0 else np.inf
-
-    if not np.isfinite([c_inf, c0, tau]).all() or not ended:
-        raise NumericalError("decay fit did not converge")
-    if tau <= 0 or amplitude < 1e-12 * max(scale, 1.0):
+    if amplitude < 1e-12 * max(scale, 1.0):
         raise NoDecayError(f"{observable} shows no exponential decay on the window")
     if tau > _MAX_SPANS * span:
         raise NoDecayError(f"fitted time constant {tau * US_PER_PS:.3g} us exceeds "
                            f"{_MAX_SPANS:g}x the window span")
     return DecayFit(tau=float(tau) * US_PER_PS, c0=float(c0), c_inf=float(c_inf),
-                    rms_residual=rms, observable=observable, envelope=envelope)
+                    rms_residual=float(np.sqrt(np.mean(residual ** 2)) / amplitude),
+                    observable=observable, envelope=envelope)
 
 
 def step_count(t_max: float, dt: float) -> int:

@@ -231,14 +231,16 @@ def _slow_modes(transfer, walks):
     Orthogonal iteration from the first four columns of the identity until
     A X lies in span X; if the run ``walks`` a block, W takes as many steps
     with A^H and P = (W^H X)^-1 W^H, so X P projects along the fast modes.
-    None after ``SLOW_ITERATIONS``, or if the run walks no block.
+    Where A^H collapses those columns (a diagonal U maps them to zero),
+    W^H X is singular or ill-conditioned, and W takes its steps again from
+    X. None after ``SLOW_ITERATIONS``, or if the run walks no block.
     Raises InstabilityError at step M + 1, the first steady step, if
     X^H A X is not finite or its spectral radius exceeds ``SLOW_RADIUS``.
     """
     g2d, step = transfer.step, transfer.dk_max + 1
     x = w = np.eye(g2d.shape[0], 4, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        for _ in range(SLOW_ITERATIONS):
+        for iterations in range(SLOW_ITERATIONS):
             z = window_step(x, g2d)
             h, settled = _coordinates(x, x.conj().T, z)
             if not np.isfinite(h).all():
@@ -248,7 +250,14 @@ def _slow_modes(transfer, walks):
                 if radius > SLOW_RADIUS:
                     raise InstabilityError(f"steady map grows, spectral radius "
                                            f"{radius:.12g}, at step {step}", step=step)
-                return (x, np.linalg.solve(w.conj().T @ x, w.conj().T)) if walks else None
+                if not walks:
+                    return None
+                # solving with a condition number above 1e8 loses half the digits of P
+                if np.linalg.cond(w.conj().T @ x) > 1e8:
+                    w = x
+                    for _ in range(iterations):
+                        w = np.linalg.qr(_adjoint_window_step(w, g2d))[0]
+                return x, np.linalg.solve(w.conj().T @ x, w.conj().T)
             x = np.linalg.qr(z)[0]
             if walks:
                 w = np.linalg.qr(_adjoint_window_step(w, g2d))[0]

@@ -77,6 +77,7 @@ class TestFitDecay:
         # a fraction of tau, so it gets a looser bound than tau itself
         assert fit.c_inf == pytest.approx(c_inf, abs=1e-6)
         assert not fit.envelope
+        assert type(fit.rms_residual) is float
 
     def test_oscillatory_envelope(self):
         t = np.linspace(0.0, 3.0e6, 6000)
@@ -104,6 +105,18 @@ class TestFitDecay:
         with pytest.raises(NoDecayError):
             fit_decay(_synthetic_trajectory(t, y), "abs_rho01")
 
+    @pytest.mark.parametrize("t0, spacing", [
+        pytest.param(0.0, 3.0e4, id="from-0"),
+        # the decay underflows on every sample before tau reaches the spacing
+        pytest.param(1.0e5, 1.0, id="late-window"),
+    ])
+    def test_step_is_no_decay(self, t0, spacing):
+        # the cost keeps falling as tau shrinks below the sample spacing
+        t = t0 + spacing * np.arange(100)
+        y = np.r_[0.5, np.zeros(99)]
+        with pytest.raises(NoDecayError, match="abs_rho01 shows no exponential decay"):
+            fit_decay(_synthetic_trajectory(t, y), "abs_rho01")
+
     def test_sample_count_precondition(self):
         t = np.linspace(0.0, 1e6, 20)
         with pytest.raises(ConfigError):
@@ -121,25 +134,28 @@ class TestFitDecay:
         fit2 = fit_decay(paper_trajectory, "rho00")
         assert fit2.tau == pytest.approx(fit.tau, rel=0.02)
 
-    @pytest.mark.parametrize("temperature, dk_max, t_max", [
-        pytest.param(30.0, 1, 3.0e6, id="paper"),
-        pytest.param(100.0, 2, 1.0e6, id="dk2-100mK-1us"),
+    @pytest.mark.parametrize("alpha, temperature, dk_max, t_max, every, bracket", [
+        pytest.param(5e-6, 30.0, 1, 3.0e6, PAPER_SAMPLE_EVERY, (0.5e6, 2.0e6), id="paper"),
+        pytest.param(5e-6, 100.0, 2, 1.0e6, PAPER_SAMPLE_EVERY, (0.5e6, 2.0e6),
+                     id="dk2-100mK-1us"),
+        pytest.param(1e-7, 30.0, 1, 2.0e7, 256, (1.0e7, 1.0e8), id="alpha1e-7-20us"),
     ])
-    def test_tau_is_the_least_squares_minimum(self, paper_qubit, temperature, dk_max, t_max):
+    def test_tau_is_the_least_squares_minimum(self, paper_qubit, alpha, temperature, dk_max,
+                                              t_max, every, bracket):
         # compare prints tau to 12 digits, so the fit must settle it there
         # rather than stop where the cost stops changing
-        bath = OhmicBath(alpha=5e-6, omega_c=5.0, temperature=temperature)
+        bath = OhmicBath(alpha=alpha, omega_c=5.0, temperature=temperature)
         n_steps = step_count(t_max, PAPER_DT)
         table = eta_coefficients(bath, PAPER_DT, n_steps, dk_max)
         transfer = build_transfer_tensor(short_time_propagator(paper_qubit, PAPER_DT), table)
         trajectory = propagate(initial_state("zero"), transfer, table, n_steps,
-                               sample_every=PAPER_SAMPLE_EVERY)
+                               sample_every=every)
         fit = fit_decay(trajectory, "im_rho01")
         assert fit.envelope
         envelope = np.abs(trajectory.im_rho01)
         peaks = _local_maxima(envelope)
-        root = projected_fit_tau(trajectory.times[peaks], envelope[peaks], 0.5e6, 2.0e6)
-        assert fit.tau == pytest.approx(root * US_PER_PS, rel=1e-12)
+        root = projected_fit_tau(trajectory.times[peaks], envelope[peaks], *bracket)
+        assert fit.tau == pytest.approx(root * US_PER_PS, rel=1e-14, abs=0.0)
 
     def test_cadence_invariance(self, paper_trajectory):
         fit = fit_decay(paper_trajectory, "im_rho01")
@@ -167,6 +183,7 @@ class TestCompare:
         assert report.tau2_bloch == pytest.approx(1.64354557173, rel=1e-9)
         assert report.tau2_itm == pytest.approx(tau2_itm, rel=1e-9)
         assert report.ratio == pytest.approx(ratio, rel=1e-9)
+        assert all(type(value) is float for value in dataclasses.astuple(report))
 
     def test_directional_claim_short_window(self, paper_qubit, paper_bath):
         report = compare(paper_qubit, paper_bath, dt=12.707, dk_max=1, t_max=1.0e6,

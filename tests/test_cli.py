@@ -114,6 +114,16 @@ class TestEvolveCommand:
         _, rows = read_csv(out_file)
         np.testing.assert_allclose(rows[:, 5], 0.5, atol=1e-12)
 
+    def test_pure_dephasing_walks(self, tmp_path, capsys):
+        # with E_J ~ 0 the step is diagonal, and the adjoint iteration from
+        # identity columns collapses onto a singular W^H X
+        out_file = tmp_path / "t.csv"
+        code, _, err = run_cli(capsys, "evolve", "--e-j-ueV", "1e-300", "--dk-max", "2",
+                               "--output", str(out_file))
+        assert code == EXIT_OK and err == ""
+        _, rows = read_csv(out_file)
+        np.testing.assert_array_equal(rows[:, 1], 1.0)
+
     def test_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

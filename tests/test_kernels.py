@@ -11,8 +11,8 @@ import pytest
 
 from jcqsim import itm
 from jcqsim.analysis import fit_decay, step_count
-from jcqsim import (InstabilityError, OhmicBath, build_transfer_tensor, eta_coefficients,
-                    initial_state, propagate, short_time_propagator)
+from jcqsim import (InstabilityError, OhmicBath, QubitParameters, build_transfer_tensor,
+                    eta_coefficients, initial_state, propagate, short_time_propagator)
 from jcqsim.influence import COUPLING_WEIGHT, EtaTable
 from jcqsim.units import HBAR
 from oracles import per_step_evolve_window
@@ -278,6 +278,20 @@ def test_strong_coupling_maps_are_never_refused(monkeypatch, stepped, paper_qubi
         assert len(stepped) < dk_max + TRANSIENT
     else:
         assert stepped == list(range(1, 2001))
+
+
+@pytest.mark.parametrize("dk_max", [2, 3, 4, 6])
+def test_pure_dephasing_run_walks(stepped, paper_bath, dk_max):
+    # a diagonal U maps the identity columns that start the adjoint basis to
+    # zero, so W^H X is singular; W restarted from X walks from step M
+    qubit = QubitParameters(e_j=1e-300, e_c=122.0, n_g=0.5)
+    table = eta_coefficients(paper_bath, DT, 20000, dk_max)
+    transfer = build_transfer_tensor(short_time_propagator(qubit, DT), table)
+    rho0v = initial_state("plus").reshape(4)
+    samples = itm.evolve_window(rho0v, transfer, table, 20000, 7)
+    assert stepped == list(range(1, dk_max + 1))
+    reference = per_step_evolve_window(rho0v, transfer, table, 20000, 7)
+    assert np.abs(samples - reference).max() <= 1e-11
 
 
 class CountedMatrix(np.ndarray):

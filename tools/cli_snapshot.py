@@ -8,8 +8,11 @@ PYTHONPATH. The directory keeps the CSV files the call wrote and its
 ``stdout``, ``stderr`` and ``exit_code``. Warnings in ``stderr`` name
 their file without the checkout's path or the line number, which differ
 between checkouts of one program. ``diff -r`` of the snapshots of
-two checkouts shows every byte that a change moved. The outputs depend on
+two checkouts shows every byte that a change moved; run one copy of this
+file in both, so that both take the same calls. The outputs depend on
 the numpy and BLAS build, so compare only snapshots taken on one machine.
+No call should exit 1, Python's code for an uncaught exception: the CLI's
+own codes are 0, 2, 3 and 4.
 """
 
 import os
@@ -30,6 +33,9 @@ CALLS = {
     "compare-plus-rho00": ["compare", "--initial-state", "plus", "--observable", "rho00",
                            "--dk-max", "2", "--output", "report.csv"],
     "compare-no-cutoff": ["compare", "--no-cutoff", "--output", "report.csv"],
+    # a decay 50 times slower, fitted over 20 us
+    "compare-weak-20us": ["compare", "--alpha", "1e-7", "--t-max-ps", "2e7",
+                          "--sample-every", "256", "--output", "report.csv"],
     "bloch": ["bloch"],
     "bloch-no-cutoff": ["bloch", "--no-cutoff"],
     **{f"evolve-alpha{alpha}": ["evolve", "--alpha", alpha, "--dk-max", "3", "--dt-ps", "2",
@@ -51,6 +57,9 @@ CALLS = {
     # no full block: nothing is walked
     "evolve-no-walk": ["evolve", "--dk-max", "8", "--t-max-ps", "300",
                        "--sample-every", "1000", "--output", "trajectory.csv"],
+    # a diagonal one-step propagator: the adjoint slow basis restarts from X
+    "evolve-pure-dephasing": ["evolve", "--e-j-ueV", "1e-300", "--dk-max", "2",
+                              "--output", "trajectory.csv"],
     "oracle": ["oracle", "--n-steps", "8"],
     "response": ["response", "--output", "gamma.csv"],
     "fail-dk11": ["evolve", "--dk-max", "11", "--output", "trajectory.csv"],
