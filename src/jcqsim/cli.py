@@ -125,10 +125,13 @@ def build_config(args) -> RunConfig:
 
 
 def fmt(value) -> str:
-    """Deterministic 12-significant-digit decimal rendering; str and bool as str()."""
+    """Deterministic 12-significant-digit decimal rendering; str and bool as str().
+
+    Adding 0.0 turns -0.0 into 0.0, so no field reads "-0".
+    """
     if isinstance(value, (str, bool)):
         return str(value)
-    return format(float(value), ".12g")
+    return format(float(value) + 0.0, ".12g")
 
 
 def echo_config(config: RunConfig, stream) -> None:

@@ -22,15 +22,20 @@ Up to step M, the ramp, the window grows by one point a step. From step M
 on the oldest point is folded out (summed) after each step, leaving the
 folded window f, q = 4^M entries over the M newest points. The first time
 point uses endpoint-class coefficients and from step n = M on no factor
-touches it, so the step factor at n = M is the steady step tensor g
-(``TransferTensor.step``, shape (q, 4)) and the readout factor at
-n = M + 1 the steady readout correction c.
+touches it, so the step factor at n = M is the steady step tensor g and
+the readout factor at n = M + 1 the steady readout correction c. The
+oldest point a meets the new point y only in the dk = M pair factor, and
+at M = 1 also in K and its self factor, so g factors into two small
+tables: g[a q/4 + r, y] = head[a, y] tail[r, y], with head (4, 4) and
+tail (q/4, 4) over the other M - 1 points r (``TransferTensor``). The
+dense g is only ever built as a temporary.
 
-After the ramp every step is the same linear map A on f,
-e[j, y] = f[j] g[j, y] folded again: A f = ``window_step(f, g)``, so A
-is ``window_step(I, g)``; the readout after the step is R f with
-R[y, j] = g[j, y] c[j, y]. A run that samples every L = ``every`` steps
-is cut into blocks of L steps and a last, partial one.
+After the ramp every step is the same linear map A on f:
+(A f)[4r + y] = tail[r, y] sum_a head[a, y] f[a q/4 + r] is
+``window_step(f)``, one 4 x 4 product and one multiply by tail. The
+readout after the step is R f with R[y, j] = g[j, y] c[j, y]. A run that
+samples every L = ``every`` steps is cut into blocks of L steps and a
+last, partial one.
 
 A has four slow modes, the reduced density matrix's own one-step map; the
 others decay within a few dozen steps (the transfer-tensor picture of
@@ -40,12 +45,16 @@ them and, if the run walks a block, their coordinates P. X^H A X holds
 A's largest eigenvalues: if it is not finite or its spectral radius
 exceeds ``SLOW_RADIUS``, A grows without bound and the run is refused
 with InstabilityError at step M + 1.
-Steps are taken one at a time, through the ramp and the transient, each
-read out at a sample step before it is folded. At step M, and at each
-block boundary after it, the run checks whether the window f lies in
-span X; from there f = X y and no step is taken one at a time. Pushing X
-through L steps gives the block map H_L = P A^L X and the sample map
-S_L = R A^(L-1) X; the same push gives H_j and S_j for the two partial
+Steps are taken one at a time through the ramp and the transient: a ramp
+step is read out at a sample before it is folded, a steady one as R f
+before the step. At every step from M to the end of the first full block
+past M, and at each block boundary after it, the run checks whether the
+window f lies in span X; from there f = X y and no step is taken one at a
+time. At the paper point the window settles by step 2M. Pushing X through
+c = ceil(L/2) steps gives H_j = P A^j X and S_j = R A^(j-1) X for j <= c.
+A^c X = X H_c up to a fast part that P annihilates, so a longer block
+L = c + b chains them exactly, H_L = H_b H_c and S_L = S_b H_c; only
+rounding compounds. The same push gives H_j and S_j for the two partial
 blocks, from the walk's start to the next sample and the last one.
 ``_sweep`` lists the block start windows y_{i+1} = H_L y_i by doubling,
 and each sample is S_L y_i. At M = 1 the window has q = 4 entries and
@@ -87,29 +96,35 @@ def backend_name() -> str:
     return "numpy"
 
 
-def window_step(f, g2d):
-    """One fold-and-multiply step on folded windows stored as the columns of f.
+def window_step(f, transfer):
+    """One steady step A on folded windows stored as the columns of f.
 
-    Entry 4r + y of the result sums f[a q/4 + r] g[a q/4 + r, y] over the
-    departing point a: one (4 x 4) @ (4 x columns) product for each r.
+    Each window, as a (4, q/4) matrix over (a, r), gives its transpose @ head,
+    and the (r, y) rows of that take one multiply by tail. The result is
+    Fortran-ordered, so that its windows lie contiguous for the next step.
     """
-    q = g2d.shape[0]
-    g_rya = g2d.reshape(4, q // 4, 4).transpose(1, 2, 0)
-    f_rac = f.reshape(4, q // 4, -1).transpose(1, 0, 2)
-    return np.matmul(g_rya, f_rac).reshape(f.shape)
+    if transfer.dk_max == 1:
+        return transfer.head.T @ f
+    tail = transfer.tail
+    windows = np.ascontiguousarray(f.T).reshape(-1, 4, tail.shape[0])
+    out = np.matmul(windows.transpose(0, 2, 1), transfer.head)
+    out *= tail
+    return out.reshape(f.shape[::-1]).T
 
 
 @dataclass(frozen=True)
 class TransferTensor:
-    """Steady one-step factor tensor over M+1 points plus the bare pair tensor.
-
-    ``step`` has shape (4^M, 4): row = the M most recent points
-    (oldest-first), column = the next point.
-    """
+    """The steady step tensor g[a q/4 + r, y] = head[a, y] tail[r, y] plus the bare pair tensor."""
 
     dk_max: int
     k_tensor: np.ndarray
-    step: np.ndarray
+    head: np.ndarray
+    tail: np.ndarray
+
+    @property
+    def step(self) -> np.ndarray:
+        """The dense (q, 4) step tensor g, built anew on each access."""
+        return (self.head[:, None, :] * self.tail[None, :, :]).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -198,25 +213,46 @@ def _readout_factor(n: int, table: EtaTable) -> np.ndarray:
     return c.reshape(-1, 4)
 
 
+def _steady_factors(k_tensor: np.ndarray, table: EtaTable):
+    """(head, tail): the factors of ``_step_factor(M)`` on the oldest point and on the others.
+
+    The product head[a, y] tail[r, y] takes them in ``_step_factor``'s order;
+    at M = 1 tail is the empty product.
+    """
+    m = table.dk_max
+    kernel = k_tensor * self_factor_table(table.eta_self(INTERIOR))[:, None]
+    head = pair_factor_table(table.eta_pair(m, "ii"))
+    if m == 1:
+        return kernel * head, np.ones((1, 4), dtype=complex)
+    tail = _on_axes(kernel, (m - 2, m - 1), m)
+    for dk in range(1, m):
+        tail = tail * _on_axes(pair_factor_table(table.eta_pair(dk, "ii")), (m - 1 - dk, m - 1), m)
+    return head, tail.reshape(-1, 4)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def build_transfer_tensor(u: np.ndarray, table: EtaTable) -> TransferTensor:
     """Steady-state transfer tensor for memory span table.dk_max and one-step U.
 
-    Raises CapacityError above ``SPAN_CAP``, before the tensor is allocated;
+    Raises CapacityError above ``SPAN_CAP``, before the tables are allocated;
     ``propagate`` refuses the map of overflowing factors, without a warning here.
     """
     m = table.dk_max
     if m > SPAN_CAP:
         raise CapacityError(f"memory span capped at dk_max = {SPAN_CAP}, got {m}")
     k_tensor = _pair_tensor(u)
-    return TransferTensor(dk_max=m, k_tensor=k_tensor, step=_step_factor(m, k_tensor, table))
+    head, tail = _steady_factors(k_tensor, table)
+    return TransferTensor(dk_max=m, k_tensor=k_tensor, head=head, tail=tail)
 
 
-def _adjoint_window_step(e, g2d):
-    """``window_step``'s adjoint: entry a q/4 + r sums conj(g[a q/4 + r, y]) e[4r + y] over y."""
-    q = g2d.shape[0]
-    g_ray = g2d.reshape(4, q // 4, 4).transpose(1, 0, 2).conj()
-    return np.matmul(g_ray, e.reshape(q // 4, 4, -1)).transpose(1, 0, 2).reshape(e.shape)
+def _adjoint_window_step(e, transfer):
+    """``window_step``'s adjoint: entry a q/4 + r sums conj(head[a, y] tail[r, y]) e[4r + y] over y."""
+    if transfer.dk_max == 1:
+        return transfer.head.conj() @ e
+    tail = transfer.tail
+    windows = np.ascontiguousarray(e.T).reshape(-1, tail.shape[0], 4) * tail.conj()
+    out = np.matmul(transfer.head.conj(), windows.transpose(0, 2, 1))
+    return out.reshape(e.shape[::-1]).T
 
 
 def _coordinates(x, p, z):
@@ -237,11 +273,11 @@ def _slow_modes(transfer, walks):
     Raises InstabilityError at step M + 1, the first steady step, if
     X^H A X is not finite or its spectral radius exceeds ``SLOW_RADIUS``.
     """
-    g2d, step = transfer.step, transfer.dk_max + 1
-    x = w = np.eye(g2d.shape[0], 4, dtype=np.complex128)
+    step = transfer.dk_max + 1
+    x = w = np.eye(4 ** transfer.dk_max, 4, dtype=np.complex128)
     with np.errstate(all="ignore"):
         for iterations in range(SLOW_ITERATIONS):
-            z = window_step(x, g2d)
+            z = window_step(x, transfer)
             h, settled = _coordinates(x, x.conj().T, z)
             if not np.isfinite(h).all():
                 raise InstabilityError(f"steady map is not finite at step {step}", step=step)
@@ -256,28 +292,33 @@ def _slow_modes(transfer, walks):
                 if np.linalg.cond(w.conj().T @ x) > 1e8:
                     w = x
                     for _ in range(iterations):
-                        w = np.linalg.qr(_adjoint_window_step(w, g2d))[0]
+                        w = np.linalg.qr(_adjoint_window_step(w, transfer))[0]
                 return x, np.linalg.solve(w.conj().T @ x, w.conj().T)
             x = np.linalg.qr(z)[0]
             if walks:
-                w = np.linalg.qr(_adjoint_window_step(w, g2d))[0]
+                w = np.linalg.qr(_adjoint_window_step(w, transfer))[0]
     return None
 
 
-def _block_map(x, p, g2d, c2d, lengths):
+def _block_map(x, p, transfer, readout, lengths):
     """{L: (H_L, S_L)} with H_L = P A^L X and S_L = R A^(L-1) X, for each L in ``lengths``.
 
-    One push of X through max(lengths) steps; the shorter maps are read off its
-    intermediate powers.
+    X is pushed through c = ceil(max(lengths) / 2) steps only, and the maps
+    for j <= c are read off its powers. A longer L = c + b chains them:
+    A^c X = X H_c up to the fast part that P annihilates, so
+    H_L = H_b H_c and S_L = S_b H_c.
     """
-    r = (g2d * c2d).T
+    half = -(-max(lengths) // 2)
+    needed = {length if length <= half else length - half for length in lengths} | {half}
     maps, power = {}, x
-    for length in range(1, max(lengths) + 1):
-        pushed = window_step(power, g2d)
-        if length in lengths:
-            maps[length] = p @ pushed, r @ power
+    for length in range(1, half + 1):
+        pushed = window_step(power, transfer)
+        if length in needed:
+            maps[length] = p @ pushed, readout @ power
         power = pushed
-    return maps
+    h_half = maps[half][0]
+    return {length: maps[length] if length <= half else
+            tuple(block @ h_half for block in maps[length - half]) for length in lengths}
 
 
 def _sweep(f, power, k):
@@ -299,12 +340,13 @@ def _sweep(f, power, k):
 
 
 def _step(f, n, transfer, table):
-    """Step n on the folded window f: the (rows, 4) product, before its fold.
+    """Step n on the folded window f.
 
-    A ramp step builds its factor at its own width and multiplies into it.
+    A steady step returns the next folded window. A ramp step builds its
+    factor at its own width and returns the (rows, 4) product, before its fold.
     """
     if n > transfer.dk_max:
-        return f[:, None] * transfer.step
+        return window_step(f, transfer)
     g2d = _step_factor(n - 1, transfer.k_tensor, table)
     return np.multiply(f[:, None], g2d, out=g2d)
 
@@ -314,38 +356,48 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     """Iterate the window from the initial 4-vector ``rho0v`` at step 0.
 
     Returns the corrected 4-vector readouts at the steps every, 2 every, ...
-    and n_steps, one row each. Steps are taken one at a time, each read out
-    at a sample before it is folded, until at step M or at a block boundary
-    the window settles on the slow modes; every later step, partial blocks
-    included, is walked on them.
+    and n_steps, one row each. Steps are taken one at a time, a ramp step
+    read out at a sample before it is folded and a steady one as R f before
+    the step, until the window settles on the slow modes: the run checks at
+    each step from M to the end of the first full block past M, then at
+    block boundaries. Every later step, partial blocks included, is walked.
     Raises InstabilityError from ``_slow_modes``, or at a non-finite sample.
     """
     m = transfer.dk_max
     n_blocks, full = -(-n_steps // every), n_steps // every
-    correction = _readout_factor(m + 1, table) if n_steps > m else None
     # the first block that starts at or after step M; the run walks if it is full
     first = -(-m // every)
-    modes = _slow_modes(transfer, first < full) if n_steps > m else None
+    readout = modes = None
+    if n_steps > m:
+        # R[y, j] = g[j, y] c[j, y] reads the window out before a steady step
+        readout = _readout_factor(m + 1, table)
+        readout = np.multiply(readout, transfer.step, out=readout).T
+        modes = _slow_modes(transfer, first < full)
 
     f = rho0v
     samples = np.empty((n_blocks, 4), dtype=np.complex128)
     for n in range(1, n_steps + 1):
-        e2d = _step(f, n, transfer, table)
-        if n % every == 0 or n == n_steps:
-            if n > m:
-                samples[(n - 1) // every] = (e2d * correction).sum(axis=0)
-            else:
+        sampled = n % every == 0 or n == n_steps
+        if n > m:
+            if sampled:
+                samples[(n - 1) // every] = readout @ f
+            f = _step(f, n, transfer, table)
+        else:
+            e2d = _step(f, n, transfer, table)
+            if sampled:
                 c2d = _readout_factor(n, table)
                 samples[(n - 1) // every] = np.multiply(e2d, c2d, out=c2d).sum(axis=0)
                 del c2d  # released before the next step's factor is built
-        f = e2d.reshape(4, -1).sum(axis=0) if n >= m else e2d.ravel()
-        if modes is not None and m <= n < full * every and (n == m or n % every == 0):
+            f = e2d.reshape(4, -1).sum(axis=0) if n == m else e2d.ravel()
+            del e2d  # the last ramp product is not held through the steady steps
+        if (modes is not None and m <= n < full * every
+                and (n <= (first + 1) * every or n % every == 0)):
             x, p = modes
             y, settled = _coordinates(x, p, f)
             if settled:
                 # the partial block up to the next sample, the full blocks, the last partial one
                 head, tail, i = -n % every, n_steps % every, -(-n // every)
-                maps = _block_map(x, p, transfer.step, correction, {every, head, tail} - {0})
+                maps = _block_map(x, p, transfer, readout, {every, head, tail} - {0})
                 if head:
                     h, sample = maps[head]
                     samples[i - 1], y = sample @ y, h @ y

@@ -169,7 +169,7 @@ def per_step_evolve_window(rho0v, transfer, table, n_steps, every):
     points, multiplies in the step factor and reads out at the sample
     steps every, 2 every, ... and n_steps.
     """
-    m = transfer.dk_max
+    m, steady_step = transfer.dk_max, transfer.step
     sample_steps = [*range(every, n_steps, every), n_steps]
     state = np.array(rho0v, dtype=complex)
     samples = np.zeros((len(sample_steps), 4), dtype=complex)
@@ -177,7 +177,7 @@ def per_step_evolve_window(rho0v, transfer, table, n_steps, every):
     for n in range(1, sample_steps[-1] + 1):
         if n > m:
             state = state.reshape(4, -1).sum(axis=0)
-            g2d = transfer.step
+            g2d = steady_step
         else:
             g2d = itm._step_factor(n - 1, transfer.k_tensor, table)
         e2d = state[:, None] * g2d

@@ -124,6 +124,15 @@ class TestEvolveCommand:
         _, rows = read_csv(out_file)
         np.testing.assert_array_equal(rows[:, 1], 1.0)
 
+    def test_pure_dephasing_prints_no_negative_zero(self, tmp_path, capsys):
+        # rho11 stays 0 to rounding, and some of its zeros are -0.0
+        out_file = tmp_path / "t.csv"
+        code, _, _ = run_cli(capsys, "evolve", "--e-j-ueV", "1e-300", "--dk-max", "2",
+                             "--output", str(out_file))
+        assert code == EXIT_OK
+        fields = out_file.read_text().replace("\n", ",").split(",")
+        assert "0" in fields and "-0" not in fields
+
     def test_determinism(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

@@ -29,13 +29,13 @@ class TestTransferTensor:
     def test_free_dense_equals_bare_propagator(self, paper_qubit, free_table):
         u = short_time_propagator(paper_qubit, DT)
         transfer = build_transfer_tensor(u, free_table)
-        dense = itm.window_step(np.eye(4, dtype=complex), transfer.step).T
+        dense = itm.window_step(np.eye(4, dtype=complex), transfer).T
         np.testing.assert_array_equal(dense, itm._pair_tensor(u))
 
     def test_dense_overlap_structure(self, paper_bath, paper_qubit):
         table = eta_coefficients(paper_bath, DT, 4, 2)
         transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
-        dense = itm.window_step(np.eye(16, dtype=complex), transfer.step).T
+        dense = itm.window_step(np.eye(16, dtype=complex), transfer).T
         assert dense.shape == (16, 16)
         for row in range(16):
             allowed = {(row % 4) * 4 + y for y in range(4)}
@@ -249,7 +249,7 @@ def test_dense_transfer_consistent_with_step_tensor(paper_bath, paper_qubit):
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
     rng = np.random.default_rng(3)
     window = rng.normal(size=16) + 1j * rng.normal(size=16)
-    via_dense = window @ itm.window_step(np.eye(16, dtype=complex), transfer.step).T
+    via_dense = window @ itm.window_step(np.eye(16, dtype=complex), transfer).T
     via_step = np.einsum("ab,aby->by", window.reshape(4, 4),
                          transfer.step.reshape(4, 4, 4)).ravel()
     np.testing.assert_allclose(via_dense, via_step, atol=1e-12)

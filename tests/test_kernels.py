@@ -94,6 +94,34 @@ def test_backend_name():
     assert itm.backend_name() == "numpy"
 
 
+@pytest.mark.parametrize("dk_max", [1, 2, 3, 4, 5, 6])
+def test_window_step_matches_dense_step(steady, dk_max):
+    # the factored step against the dense step tensor g = head * tail, on one
+    # window and on C- and Fortran-ordered blocks of windows
+    transfer, _ = steady(dk_max)
+    step = transfer.step
+    rng = np.random.default_rng(dk_max)
+    windows = rng.normal(size=(4 ** dk_max, 3)) + 1j * rng.normal(size=(4 ** dk_max, 3))
+    reference = np.stack([(f[:, None] * step).reshape(4, -1).sum(axis=0)
+                          for f in windows.T], axis=1)
+    bound = 1e-14 * np.abs(reference).max()
+    assert np.abs(itm.window_step(windows[:, 0], transfer) - reference[:, 0]).max() <= bound
+    for block in (windows, np.asfortranarray(windows)):
+        assert np.abs(itm.window_step(block, transfer) - reference).max() <= bound
+
+
+@pytest.mark.parametrize("dk_max", [1, 2, 3, 4, 5, 6])
+def test_adjoint_window_step_is_the_adjoint(steady, dk_max):
+    # <e, A f> = <A^H e, f> for blocks of windows
+    transfer, _ = steady(dk_max)
+    rng = np.random.default_rng(dk_max)
+    e, f = (rng.normal(size=(4 ** dk_max, 2)) + 1j * rng.normal(size=(4 ** dk_max, 2))
+            for _ in range(2))
+    forward = e.conj().T @ itm.window_step(f, transfer)
+    backward = itm._adjoint_window_step(e, transfer).conj().T @ f
+    assert np.abs(forward - backward).max() <= 1e-13 * np.abs(forward).max()
+
+
 @pytest.mark.parametrize("every, n_steps", [
     pytest.param(1, N_STEPS, id="1"),
     # blocks inside the ramp at dk_max 4 and 5
@@ -132,6 +160,26 @@ def test_jump_route_matches_per_step(monkeypatch, stepped, steady, dk_max, every
     assert walks == [k]
     if dk_max == 1:
         assert stepped == [1]
+
+
+@pytest.mark.parametrize("dk_max", [2, 3, 4, 5, 6])
+def test_paper_walk_starts_when_the_window_settles(stepped, steady, dk_max):
+    # the window is checked at every step from M on, and at the paper point
+    # it settles on the slow modes by step 2M, long before the first sample
+    transfer, table = steady(dk_max)
+    propagate(initial_state("zero"), transfer, table, N_STEPS, sample_every=64)
+    assert stepped == list(range(1, len(stepped) + 1))
+    assert dk_max < len(stepped) <= 2 * dk_max
+
+
+def test_paper_run_walk_matches_per_step(paper_bath, paper_qubit):
+    # the walk over the paper's full 236,090-step run at memory span 4
+    table = eta_coefficients(paper_bath, DT, N_PAPER, 4)
+    transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
+    rho0v = initial_state("zero").reshape(4)
+    samples = itm.evolve_window(rho0v, transfer, table, N_PAPER, 64)
+    reference = per_step_evolve_window(rho0v, transfer, table, N_PAPER, 64)
+    assert np.abs(samples - reference).max() <= 1e-11
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
@@ -189,8 +237,8 @@ def test_non_finite_steady_map_is_refused(paper_qubit):
     # refused at step M + 1 = 2; neither warns
     table = amplifying_table(1, -40000.0)
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
-    infinite = dataclasses.replace(transfer, step=transfer.step.copy())
-    infinite.step[0, 0] = np.inf
+    infinite = dataclasses.replace(transfer, head=transfer.head.copy())
+    infinite.head[0, 0] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (transfer, infinite):
@@ -231,11 +279,11 @@ def test_slow_modes_span_the_steady_map(steady, dk_max):
     # and P A = H P, so the walk drops no slow part of a fast component
     transfer, _ = steady(dk_max)
     x, p = itm._slow_modes(transfer, True)
-    ax = itm.window_step(x, transfer.step)
+    ax = itm.window_step(x, transfer)
     assert np.abs(ax - x @ (p @ ax)).max() <= 1e-14
     np.testing.assert_allclose(p @ x, np.eye(4), atol=1e-12)
     windows = np.random.default_rng(dk_max).normal(size=(4 ** dk_max, 2)) + 0j
-    drift = p @ itm.window_step(windows, transfer.step) - (p @ ax) @ (p @ windows)
+    drift = p @ itm.window_step(windows, transfer) - (p @ ax) @ (p @ windows)
     assert np.abs(drift).max() <= 1e-12 * np.abs(windows).sum(axis=0).max()
     radii = np.sort(np.abs(np.linalg.eigvals(p @ ax)))
     assert radii[-1] == pytest.approx(1.0, abs=1e-12)
@@ -315,14 +363,34 @@ class CountedMatrix(np.ndarray):
         return result
 
 
+@pytest.mark.parametrize("dk_max", [1, 2, 4])
+def test_block_maps_chain_half_blocks(steady, dk_max):
+    # H_L and S_L chained from a push through ceil(L / 2) steps match the
+    # maps read off a push through all L steps
+    transfer, table = steady(dk_max)
+    x, p = itm._slow_modes(transfer, True)
+    readout = (transfer.step * itm._readout_factor(dk_max + 1, table)).T
+    lengths = {64, 63, 40, 33, 5, 1}
+    maps = itm._block_map(x, p, transfer, readout, lengths)
+    assert maps.keys() == lengths
+    power = x
+    for length in range(1, 65):
+        pushed = itm.window_step(power, transfer)
+        if length in lengths:
+            h, sample = maps[length]
+            assert np.abs(h - p @ pushed).max() <= 1e-13
+            assert np.abs(sample - readout @ power).max() <= 1e-13
+        power = pushed
+
+
 @pytest.mark.parametrize("top", ["0", "1", "2^d-1", "2^d", "2^d+1"])
 @pytest.mark.parametrize("dk_max", [1, 4])
 def test_sweep_matches_repeated_jumps(steady, dk_max, top):
     # 2^d = 64 blocks: rows 0 .. 2^d - 1 take d products
     k = {"0": 0, "1": 1, "2^d-1": 63, "2^d": 64, "2^d+1": 65}[top]
     transfer, table = steady(dk_max)
-    correction = itm._readout_factor(dk_max + 1, table)
-    h, _ = itm._block_map(*itm._slow_modes(transfer, True), transfer.step, correction, {64})[64]
+    readout = (transfer.step * itm._readout_factor(dk_max + 1, table)).T
+    h, _ = itm._block_map(*itm._slow_modes(transfer, True), transfer, readout, {64})[64]
     y = np.random.default_rng(k).normal(size=4) * 0.1 + 0j
     rows = itm._sweep(y, h.T, k)
     expected = [y]
@@ -373,12 +441,13 @@ def test_paper_run_sweeps_in_log_products(counted, paper_bath, paper_qubit):
 
 
 def test_squared_powers_built_once(counted, steady):
-    # 77 walked 64-step blocks at dk_max 4: H_L^2 .. H_L^64, then one
+    # the walk starts at step 8 at dk_max 4: one product for the partial
+    # block to step 64, then 77 full 64-step blocks, H_L^2 .. H_L^64 and one
     # product per doubling
     transfer, table = steady(4)
     propagate(initial_state("zero"), transfer, table, N_STEPS, sample_every=64)
     assert counted.squarings == 6
-    assert counted.window_products == 7
+    assert counted.window_products == 8
 
 
 @pytest.mark.parametrize("dk_max", [5, 6])

@@ -1,6 +1,7 @@
 """Snapshot the outputs of a fixed list of ``jcqsim`` command-line calls.
 
 Usage: python3 tools/cli_snapshot.py OUT_DIR
+       python3 tools/cli_snapshot.py --compare OLD_DIR NEW_DIR
 
 Each call runs in its own process, in its own new directory OUT_DIR/NAME,
 with OPENBLAS_NUM_THREADS=1 and this checkout's ``src`` first on
@@ -13,6 +14,12 @@ file in both, so that both take the same calls. The outputs depend on
 the numpy and BLAS build, so compare only snapshots taken on one machine.
 No call should exit 1, Python's code for an uncaught exception: the CLI's
 own codes are 0, 2, 3 and 4.
+
+``--compare`` prints one line for each file that differs between two
+snapshots: how many of its lines moved and, where only numbers moved, the
+largest absolute and relative deviation between corresponding numbers. It
+prints nothing for identical snapshots, and exits 1 if any call's
+``exit_code`` differs.
 """
 
 import os
@@ -24,6 +31,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 # "<SRC>/jcqsim/itm.py:169: RuntimeWarning: ..." -> "jcqsim/itm.py: RuntimeWarning: ..."
 WARNING_LOCATION = re.compile(re.escape(str(SRC) + os.sep).encode() + rb"(\S+?):\d+:")
+
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 CALLS = {
     **{f"compare-dk{m}": ["compare", "--dk-max", str(m), "--output", "report.csv"]
@@ -70,9 +79,46 @@ CALLS = {
 }
 
 
+def deviation(old: bytes, new: bytes) -> str:
+    """How two versions of one output differ: the lines that moved, and by how much."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return f"{len(old_lines)} -> {len(new_lines)} lines"
+    moved = [(a, b) for a, b in zip(old_lines, new_lines) if a != b]
+    summary = f"{len(moved)} of {len(old_lines)} lines differ"
+    if any(NUMBER.sub(b"#", a) != NUMBER.sub(b"#", b) for a, b in moved):
+        return summary + ", not only in their numbers"
+    largest_abs = largest_rel = 0.0
+    for a, b in moved:
+        for x, y in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))):
+            if x != y:
+                largest_abs = max(largest_abs, abs(x - y))
+                largest_rel = max(largest_rel, abs(x - y) / max(abs(x), abs(y)))
+    return summary + f", largest deviation {largest_abs:.2g} absolute, {largest_rel:.2g} relative"
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    """Prints each file that differs between two snapshots; 1 if an exit code differs."""
+    names = sorted({path.relative_to(root) for root in (old_dir, new_dir)
+                    for path in root.rglob("*") if path.is_file()})
+    exit_codes_differ = False
+    for name in names:
+        old, new = old_dir / name, new_dir / name
+        if not (old.is_file() and new.is_file()):
+            print(f"{name}: only in {old_dir if old.is_file() else new_dir}")
+        elif old.read_bytes() != new.read_bytes():
+            print(f"{name}: {deviation(old.read_bytes(), new.read_bytes())}")
+        else:
+            continue
+        exit_codes_differ |= name.name == "exit_code"
+    return 1 if exit_codes_differ else 0
+
+
 def main(argv) -> int:
+    if len(argv) == 4 and argv[1] == "--compare":
+        return compare(Path(argv[2]), Path(argv[3]))
     if len(argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 2
     out_dir = Path(argv[1])
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
