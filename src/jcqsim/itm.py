@@ -47,15 +47,18 @@ exceeds ``SLOW_RADIUS``, A grows without bound and the run is refused
 with InstabilityError at step M + 1.
 Steps are taken one at a time through the ramp and the transient: a ramp
 step is read out at a sample before it is folded, a steady one as R f
-before the step. At every step from M to the end of the first full block
-past M, and at each block boundary after it, the run checks whether the
-window f lies in span X; from there f = X y and no step is taken one at a
-time. At the paper point the window settles by step 2M. Pushing X through
+before the step. At every step from M to 2M, at n = M + 2^k and at
+block boundaries, the run checks whether the window f lies in span X;
+from there f = X y and no step is taken one at a time. At the paper point
+the window settles by step 2M; a run that never settles pays about
+M + log2(n) extra checks, each about the cost of a step. Pushing X through
 c = ceil(L/2) steps gives H_j = P A^j X and S_j = R A^(j-1) X for j <= c.
-A^c X = X H_c up to a fast part that P annihilates, so a longer block
-L = c + b chains them exactly, H_L = H_b H_c and S_L = S_b H_c; only
-rounding compounds. The same push gives H_j and S_j for the two partial
-blocks, from the walk's start to the next sample and the last one.
+A longer block L = c + b chains them. A^c X = X H_c + E with the fast
+part E = (I - X P) A^c X, and P A = H_1 P, so P annihilates A^b E and
+H_L = H_b H_c holds exactly. S_L = S_b H_c holds only up to R A^(b-1) E,
+which is as small as X's invariance residual |A X - X P A X| (1e-14).
+The same push gives H_j and S_j for the two partial blocks, from the
+walk's start to the next sample and the last one.
 ``_sweep`` lists the block start windows y_{i+1} = H_L y_i by doubling,
 and each sample is S_L y_i. At M = 1 the window has q = 4 entries and
 lies in span X, so the walk starts right after the ramp. Every step is
@@ -305,8 +308,9 @@ def _block_map(x, p, transfer, readout, lengths):
 
     X is pushed through c = ceil(max(lengths) / 2) steps only, and the maps
     for j <= c are read off its powers. A longer L = c + b chains them:
-    A^c X = X H_c up to the fast part that P annihilates, so
-    H_L = H_b H_c and S_L = S_b H_c.
+    H_L = H_b H_c exactly, as P A = H_1 P annihilates the fast part of
+    A^c X, and S_L = S_b H_c up to X's invariance residual, which R does
+    not annihilate.
     """
     half = -(-max(lengths) // 2)
     needed = {length if length <= half else length - half for length in lengths} | {half}
@@ -359,8 +363,8 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     and n_steps, one row each. Steps are taken one at a time, a ramp step
     read out at a sample before it is folded and a steady one as R f before
     the step, until the window settles on the slow modes: the run checks at
-    each step from M to the end of the first full block past M, then at
-    block boundaries. Every later step, partial blocks included, is walked.
+    each step from M to 2M, at n = M + 2^k and at block boundaries. Every
+    later step, partial blocks included, is walked.
     Raises InstabilityError from ``_slow_modes``, or at a non-finite sample.
     """
     m = transfer.dk_max
@@ -390,8 +394,12 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
                 del c2d  # released before the next step's factor is built
             f = e2d.reshape(4, -1).sum(axis=0) if n == m else e2d.ravel()
             del e2d  # the last ramp product is not held through the steady steps
-        if (modes is not None and m <= n < full * every
-                and (n <= (first + 1) * every or n % every == 0)):
+        # settled? at each step to 2M, where the paper point settles, then at
+        # n - M = 2^k and at block boundaries: a run that never settles checks
+        # about M + log2(n) + n / every times
+        late = n - m
+        if (modes is not None and 0 <= late and n < full * every
+                and (late <= m or late & (late - 1) == 0 or n % every == 0)):
             x, p = modes
             y, settled = _coordinates(x, p, f)
             if settled:

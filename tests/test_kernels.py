@@ -164,8 +164,8 @@ def test_jump_route_matches_per_step(monkeypatch, stepped, steady, dk_max, every
 
 @pytest.mark.parametrize("dk_max", [2, 3, 4, 5, 6])
 def test_paper_walk_starts_when_the_window_settles(stepped, steady, dk_max):
-    # the window is checked at every step from M on, and at the paper point
-    # it settles on the slow modes by step 2M, long before the first sample
+    # the window is checked at every step from M to 2M, and at the paper
+    # point it settles on the slow modes by step 2M, long before the first sample
     transfer, table = steady(dk_max)
     propagate(initial_state("zero"), transfer, table, N_STEPS, sample_every=64)
     assert stepped == list(range(1, len(stepped) + 1))
@@ -326,6 +326,26 @@ def test_strong_coupling_maps_are_never_refused(monkeypatch, stepped, paper_qubi
         assert len(stepped) < dk_max + TRANSIENT
     else:
         assert stepped == list(range(1, 2001))
+
+
+def test_unsettled_run_checks_the_window_sparsely(monkeypatch, paper_qubit):
+    # a window that never settles is checked at each step from M to 2M, at
+    # n - M = 2^k and at block boundaries, not at every step of a long block
+    checked = []
+    coordinates = itm._coordinates
+
+    def spy_coordinates(x, p, z):
+        if z.ndim == 1:
+            checked.append(z.size)
+        return coordinates(x, p, z)
+
+    monkeypatch.setattr(itm, "_coordinates", spy_coordinates)
+    bath = OhmicBath(alpha=10.0, omega_c=5.0, temperature=300.0)
+    table = eta_coefficients(bath, 5.0, 2000, 3)
+    transfer = build_transfer_tensor(short_time_propagator(paper_qubit, 5.0), table)
+    propagate(initial_state("zero"), transfer, table, 2000, sample_every=1000)
+    # steps 3-6, 3 + 4, 3 + 8, ..., 3 + 1024 and 1000
+    assert len(checked) == 4 + 9 + 1
 
 
 @pytest.mark.parametrize("dk_max", [2, 3, 4, 6])
