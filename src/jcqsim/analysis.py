@@ -6,8 +6,9 @@ The Markovian baseline at the gate-charge sweet spot (B_z = 0) is
 
 with w_0 = B_x / hbar, so the dephasing time is exactly twice the
 relaxation time. The non-Markovian number is the least-squares fit of
-c_inf + (c0 - c_inf) e^(-t/tau) to an ITM trajectory observable, or to
-the envelope of its local maxima if it oscillates, by variable projection
+c_inf + (c0 - c_inf) e^(-(t - t_0)/tau), t_0 the first fitted sample's
+time, to an ITM trajectory observable, or to the envelope of its local
+maxima if it oscillates, by variable projection
 (Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
 Nothing here defaults a run setting: ``cli.RunConfig`` owns the default run.
 """
@@ -34,7 +35,10 @@ _MAX_SPANS = 100.0
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Exponential-decay fit y(t) = c_inf + (c0 - c_inf) exp(-t / tau)."""
+    """Exponential-decay fit y(t) = c_inf + (c0 - c_inf) exp(-(t - t_0) / tau).
+
+    t_0 is the time of the first fitted sample, so c0 is the fit's value there.
+    """
 
     tau: float  # microseconds
     c0: float
@@ -150,7 +154,8 @@ def fit_decay(trajectory: Trajectory, observable: str) -> DecayFit:
 
     Needs at least 50 samples. Oscillatory data (enough local maxima of the
     magnitude spread over the window) is reduced to its extremum envelope
-    before fitting. Non-decaying data raises NoDecayError.
+    before fitting. Time is measured from the first fitted sample, so a late
+    window does not underflow. Non-decaying data raises NoDecayError.
     """
     if observable not in FIT_OBSERVABLES:
         raise ValueError(f"observable must be one of {FIT_OBSERVABLES}, got {observable!r}")
@@ -172,7 +177,7 @@ def fit_decay(trajectory: Trajectory, observable: str) -> DecayFit:
     if scale == 0.0 or y_fit.std() < 1e-13 * max(scale, 1.0):
         raise NoDecayError(f"{observable} is constant over the window")
 
-    tau, c_inf, c0, residual = _least_squares_tau(t_fit, y_fit, span, observable)
+    tau, c_inf, c0, residual = _least_squares_tau(t_fit - t_fit[0], y_fit, span, observable)
     amplitude = abs(c0 - c_inf)
     if amplitude < 1e-12 * max(scale, 1.0):
         raise NoDecayError(f"{observable} shows no exponential decay on the window")

@@ -1,71 +1,70 @@
 """Iterative tensor multiplication of the reduced density matrix.
 
-The propagated object is a window tensor over consecutive time points,
-stored flat, row-major, oldest point first. Step n -> n+1 multiplies in
-``_step_factor(n)``: the bare propagator pair tensor K that
-``_pair_tensor`` builds from the one-step U, the departing point's self
-factor and all pair factors that end at the new point. Each point's self
-factor is applied exactly once, when the point stops being the newest;
-each pair factor is applied once, when its later point is added. The
-factor builders return (rows, 4) arrays: the row indexes the older
-points, the column the newest.
+The propagated object is a window f over the M = dk_max most recent time
+points, q = 4^M entries stored flat, row-major, oldest point first. Step n
+adds point n and sums out the departing point n - M. It multiplies in one
+(4, 4) factor per window point against the new point, which
+``_step_factors(n)`` returns oldest first: point n - dk takes the dk pair
+factor, and the newest point n - 1 also carries the bare propagator pair
+tensor K (``_pair_tensor``, from the one-step U) and its own self factor.
+So each point's self factor is applied once, when it stops being the
+newest, and each pair factor once, when its later point is added. The
+step is g[a q/4 + r, y] = head[a, y] tail[r, y], with head (4, 4) the
+departing point a's factor and tail (q/4, 4) the product over the other
+M - 1 points r (``_tables``): ``window_step`` takes one 4 x 4 product and
+one multiply by tail.
 
-Reading out a density matrix at step n multiplies the window by
-``_readout_factor(n)`` non-destructively: the terminal point's self factor
-with the endpoint coefficient, and for every in-window pair ending at n
-the ratio between its terminal-class and applied-class coefficients.
-Keeping M+1 points (M = dk_max, one more than the memory span) makes
-every such pair available, so the iteration with dk_max = N reproduces
-the exact path sum identically.
+The window starts at full width, with rho0 on the newest point, point 0.
+The M - 1 points before it are phantoms: they hold index 0 only, and all
+their factors are ones, so the first M steps, the ramp, are ordinary
+steps, and the window is zero wherever a phantom digit is not. Point 0
+takes endpoint-class coefficients; from step M + 1 on no factor touches
+it, so every later step has the same tables, the steady head and tail of
+``TransferTensor``.
 
-Up to step M, the ramp, the window grows by one point a step. From step M
-on the oldest point is folded out (summed) after each step, leaving the
-folded window f, q = 4^M entries over the M newest points. The first time
-point uses endpoint-class coefficients and from step n = M on no factor
-touches it, so the step factor at n = M is the steady step tensor g and
-the readout factor at n = M + 1 the steady readout correction c. The
-oldest point a meets the new point y only in the dk = M pair factor, and
-at M = 1 also in K and its self factor, so g factors into two small
-tables: g[a q/4 + r, y] = head[a, y] tail[r, y], with head (4, 4) and
-tail (q/4, 4) over the other M - 1 points r (``TransferTensor``). The
-dense g is only ever built as a temporary.
+A sample at step n is R_n f, read from the window before step n. R_n is
+step n's tables as ``_step_factors(n, ends=True)`` builds them for a path
+that ends at n: every pair ending at n takes its terminal class, and the
+new point its endpoint self factor. Each factor is the exponential of a
+term linear in eta, so this is step n's factor times the ratio between
+the terminal-class and applied-class factors. Keeping M points before the
+new one makes every such pair available, so the iteration with
+dk_max = N reproduces the exact path sum identically. The steady R is
+built once per run, a ramp R only at a sampled ramp step.
 
-After the ramp every step is the same linear map A on f:
-(A f)[4r + y] = tail[r, y] sum_a head[a, y] f[a q/4 + r] is
-``window_step(f)``, one 4 x 4 product and one multiply by tail. The
-readout after the step is R f with R[y, j] = g[j, y] c[j, y]. A run that
-samples every L = ``every`` steps is cut into blocks of L steps and a
-last, partial one.
+Past the ramp every step is the same linear map A on f,
+(A f)[4r + y] = tail[r, y] sum_a head[a, y] f[a q/4 + r]. A has four
+slow modes, the reduced density matrix's own one-step map; the others
+decay within a few dozen steps (the transfer-tensor picture of Cerrillo
+and Cao, PRL 112, 110401 (2014)). Before step 1 of a run that reaches
+the steady map, ``_slow_modes`` finds an orthonormal basis X of them and,
+if the run walks a block, their coordinates P. X^H A X holds A's largest
+eigenvalues: if it is not finite or its spectral radius exceeds
+``SLOW_RADIUS``, A grows without bound and the run is refused with
+InstabilityError at step M + 1.
 
-A has four slow modes, the reduced density matrix's own one-step map; the
-others decay within a few dozen steps (the transfer-tensor picture of
-Cerrillo and Cao, PRL 112, 110401 (2014)). Before step 1 of a run that
-reaches the steady map, ``_slow_modes`` finds an orthonormal basis X of
-them and, if the run walks a block, their coordinates P. X^H A X holds
-A's largest eigenvalues: if it is not finite or its spectral radius
-exceeds ``SLOW_RADIUS``, A grows without bound and the run is refused
-with InstabilityError at step M + 1.
-Steps are taken one at a time through the ramp and the transient: a ramp
-step is read out at a sample before it is folded, a steady one as R f
-before the step. At every step from M to 2M, at n = M + 2^k and at
-block boundaries, the run checks whether the window f lies in span X;
-from there f = X y and no step is taken one at a time. At the paper point
-the window settles by step 2M; a run that never settles pays about
-M + log2(n) extra checks, each about the cost of a step. Pushing X through
-c = ceil(L/2) steps gives H_j = P A^j X and S_j = R A^(j-1) X for j <= c.
+Steps are taken one at a time through the ramp and the transient, each
+read out at a sample as R_n f before the step. At every step from M to
+2M, at n = M + 2^k and at block boundaries, the run checks whether the
+window f lies in span X; from there f = X y and no step is taken one at
+a time. At the paper point the window settles by step 2M; a run that
+never settles pays about M + log2(n) extra checks, each about the cost
+of a step. A run that samples every L = ``every`` steps is cut into
+blocks of L steps and a last, partial one. Pushing X through c =
+ceil(L/2) steps gives H_j = P A^j X and S_j = R A^(j-1) X for j <= c.
 A longer block L = c + b chains them. A^c X = X H_c + E with the fast
 part E = (I - X P) A^c X, and P A = H_1 P, so P annihilates A^b E and
 H_L = H_b H_c holds exactly. S_L = S_b H_c holds only up to R A^(b-1) E,
 which is as small as X's invariance residual |A X - X P A X| (1e-14).
 The same push gives H_j and S_j for the two partial blocks, from the
-walk's start to the next sample and the last one.
-``_sweep`` lists the block start windows y_{i+1} = H_L y_i by doubling,
-and each sample is S_L y_i. At M = 1 the window has q = 4 entries and
-lies in span X, so the walk starts right after the ramp. Every step is
-taken one at a time if the iteration does not converge or the transient
-does not settle. A non-finite sample raises InstabilityError at its step.
+walk's start to the next sample and the last one. ``_sweep`` lists the
+block start windows y_{i+1} = H_L y_i by doubling, and each sample is
+S_L y_i. At M = 1 the window has q = 4 entries and lies in span X, so
+the walk starts right after the ramp. Every step is taken one at a time
+if the iteration does not converge or the transient does not settle. A
+non-finite sample raises InstabilityError at its step.
 
-Window tensors have 4^(M+1) entries, so the memory span is capped at
+The readout R has 4^(M+1) entries, so the memory span is capped at
 ``SPAN_CAP``, the same bound as the path length of the path sum.
 """
 
@@ -79,7 +78,7 @@ from .influence import (ENDPOINT, INTERIOR, EtaTable, pair_class, pair_factor_ta
 from .qubit import QubitParameters, short_time_propagator, validate_density_matrix
 
 # Largest memory span M of a transfer tensor and largest path length N of
-# the path sum: a window tensor holds 4^(M + 1) entries, and the path sum
+# the path sum: the readout R holds 4^(M + 1) entries, and the path sum
 # enumerates 4^(N + 1) paths.
 SPAN_CAP = 10
 
@@ -99,35 +98,30 @@ def backend_name() -> str:
     return "numpy"
 
 
-def window_step(f, transfer):
-    """One steady step A on folded windows stored as the columns of f.
+def window_step(f, head, tail):
+    """One step with the tables (head, tail) on windows stored as the columns of f.
 
     Each window, as a (4, q/4) matrix over (a, r), gives its transpose @ head,
     and the (r, y) rows of that take one multiply by tail. The result is
     Fortran-ordered, so that its windows lie contiguous for the next step.
+    At M = 1 tail is ones and the step is one 4 x 4 product.
     """
-    if transfer.dk_max == 1:
-        return transfer.head.T @ f
-    tail = transfer.tail
+    if tail.shape[0] == 1:
+        return head.T @ f
     windows = np.ascontiguousarray(f.T).reshape(-1, 4, tail.shape[0])
-    out = np.matmul(windows.transpose(0, 2, 1), transfer.head)
+    out = np.matmul(windows.transpose(0, 2, 1), head)
     out *= tail
     return out.reshape(f.shape[::-1]).T
 
 
 @dataclass(frozen=True)
 class TransferTensor:
-    """The steady step tensor g[a q/4 + r, y] = head[a, y] tail[r, y] plus the bare pair tensor."""
+    """Steady step tables, g[a q/4 + r, y] = head[a, y] tail[r, y], and the bare pair tensor K."""
 
     dk_max: int
     k_tensor: np.ndarray
     head: np.ndarray
     tail: np.ndarray
-
-    @property
-    def step(self) -> np.ndarray:
-        """The dense (q, 4) step tensor g, built anew on each access."""
-        return (self.head[:, None, :] * self.tail[None, :, :]).reshape(-1, 4)
 
 
 @dataclass(frozen=True)
@@ -176,61 +170,41 @@ def _pair_tensor(u: np.ndarray) -> np.ndarray:
     return np.einsum("ik,jl->klij", u, u.conj()).reshape(4, 4)
 
 
-def _on_axes(factor: np.ndarray, axes: tuple, width: int) -> np.ndarray:
-    """Reshape a (4,) or (4, 4) factor for broadcasting onto given axes."""
-    shape = [1] * width
-    for ax in axes:
-        shape[ax] = 4
-    return factor.reshape(shape)
+def _step_factors(n: int, k_tensor: np.ndarray, table: EtaTable, ends: bool = False) -> list:
+    """Step n's (4, 4) factors on the window points n - M .. n - 1, oldest first.
 
-
-def _step_factor(n: int, k_tensor: np.ndarray, table: EtaTable) -> np.ndarray:
-    """Factor multiplied in on step n -> n+1, over the points max(0, n+1-M) .. n+1."""
-    m = table.dk_max
-    lo = max(0, n + 1 - m)
-    width = n + 2 - lo
-    ax_n = width - 2
-    self_kind = ENDPOINT if n == 0 else INTERIOR
-    fac = _on_axes(k_tensor, (ax_n, width - 1), width).astype(complex)
-    fac = fac * _on_axes(self_factor_table(table.eta_self(self_kind)), (ax_n,), width)
-    for dk in range(1, min(n + 1, m) + 1):
-        earlier = n + 1 - dk
-        kind = "ei" if earlier == 0 else "ii"
-        fac = fac * _on_axes(pair_factor_table(table.eta_pair(dk, kind)),
-                             (earlier - lo, width - 1), width)
-    return fac.reshape(-1, 4)
-
-
-def _readout_factor(n: int, table: EtaTable) -> np.ndarray:
-    """Terminal correction of the readout at step n, over the points max(0, n-M) .. n."""
-    m = table.dk_max
-    lo = max(0, n - m)
-    width = n + 1 - lo
-    c = _on_axes(self_factor_table(table.eta_self(ENDPOINT)), (width - 1,), width)
-    for dk in range(1, min(n, m) + 1):
-        earlier = n - dk
-        applied = table.eta_pair(dk, "ei" if earlier == 0 else "ii")
-        terminal = table.eta_pair(dk, "ee" if earlier == 0 else "ei")
-        c = c * _on_axes(pair_factor_table(terminal - applied),
-                         (earlier - lo, width - 1), width)
-    return c.reshape(-1, 4)
-
-
-def _steady_factors(k_tensor: np.ndarray, table: EtaTable):
-    """(head, tail): the factors of ``_step_factor(M)`` on the oldest point and on the others.
-
-    The product head[a, y] tail[r, y] takes them in ``_step_factor``'s order;
-    at M = 1 tail is the empty product.
+    Point n - dk takes the dk pair factor with the new point n, class "ei"
+    if it is point 0, or ones if it is a phantom. The newest point also
+    carries K and its self factor: the endpoint one at n = 1. A path that
+    ``ends`` at n gives those pairs their terminal classes, "ee" and "ei",
+    and the new point its endpoint self factor.
     """
-    m = table.dk_max
-    kernel = k_tensor * self_factor_table(table.eta_self(INTERIOR))[:, None]
-    head = pair_factor_table(table.eta_pair(m, "ii"))
-    if m == 1:
-        return kernel * head, np.ones((1, 4), dtype=complex)
-    tail = _on_axes(kernel, (m - 2, m - 1), m)
-    for dk in range(1, m):
-        tail = tail * _on_axes(pair_factor_table(table.eta_pair(dk, "ii")), (m - 1 - dk, m - 1), m)
-    return head, tail.reshape(-1, 4)
+    classes = ("ee", "ei") if ends else ("ei", "ii")
+    factors = [pair_factor_table(table.eta_pair(dk, classes[n != dk])) if n >= dk
+               else np.ones((4, 4)) for dk in range(table.dk_max, 0, -1)]
+    kernel = k_tensor * self_factor_table(table.eta_self(ENDPOINT if n == 1 else INTERIOR))[:, None]
+    if ends:
+        kernel = kernel * self_factor_table(table.eta_self(ENDPOINT))
+    factors[-1] = kernel * factors[-1]
+    return factors
+
+
+def _tables(factors):
+    """(head, tail): the oldest point's factor, and the (q/4, 4) product of the others'.
+
+    tail[r, y] multiplies in the factors from the newest point back; at
+    M = 1 it is the empty product, a (1, 4) row of ones.
+    """
+    tail = np.ones((1, 4), dtype=complex)
+    for factor in factors[:0:-1]:
+        tail = (tail * factor[:, None, :]).reshape(-1, 4)
+    return factors[0], tail
+
+
+def _readout(n: int, k_tensor: np.ndarray, table: EtaTable) -> np.ndarray:
+    """R_n, (4, q): a sample at step n is R_n f, from the window f before step n."""
+    head, tail = _tables(_step_factors(n, k_tensor, table, ends=True))
+    return (head[:, None, :] * tail).reshape(-1, 4).T
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -244,17 +218,16 @@ def build_transfer_tensor(u: np.ndarray, table: EtaTable) -> TransferTensor:
     if m > SPAN_CAP:
         raise CapacityError(f"memory span capped at dk_max = {SPAN_CAP}, got {m}")
     k_tensor = _pair_tensor(u)
-    head, tail = _steady_factors(k_tensor, table)
+    head, tail = _tables(_step_factors(m + 1, k_tensor, table))
     return TransferTensor(dk_max=m, k_tensor=k_tensor, head=head, tail=tail)
 
 
-def _adjoint_window_step(e, transfer):
+def _adjoint_window_step(e, head, tail):
     """``window_step``'s adjoint: entry a q/4 + r sums conj(head[a, y] tail[r, y]) e[4r + y] over y."""
-    if transfer.dk_max == 1:
-        return transfer.head.conj() @ e
-    tail = transfer.tail
+    if tail.shape[0] == 1:
+        return head.conj() @ e
     windows = np.ascontiguousarray(e.T).reshape(-1, tail.shape[0], 4) * tail.conj()
-    out = np.matmul(transfer.head.conj(), windows.transpose(0, 2, 1))
+    out = np.matmul(head.conj(), windows.transpose(0, 2, 1))
     return out.reshape(e.shape[::-1]).T
 
 
@@ -276,11 +249,11 @@ def _slow_modes(transfer, walks):
     Raises InstabilityError at step M + 1, the first steady step, if
     X^H A X is not finite or its spectral radius exceeds ``SLOW_RADIUS``.
     """
-    step = transfer.dk_max + 1
+    step, tables = transfer.dk_max + 1, (transfer.head, transfer.tail)
     x = w = np.eye(4 ** transfer.dk_max, 4, dtype=np.complex128)
     with np.errstate(all="ignore"):
         for iterations in range(SLOW_ITERATIONS):
-            z = window_step(x, transfer)
+            z = window_step(x, *tables)
             h, settled = _coordinates(x, x.conj().T, z)
             if not np.isfinite(h).all():
                 raise InstabilityError(f"steady map is not finite at step {step}", step=step)
@@ -295,11 +268,11 @@ def _slow_modes(transfer, walks):
                 if np.linalg.cond(w.conj().T @ x) > 1e8:
                     w = x
                     for _ in range(iterations):
-                        w = np.linalg.qr(_adjoint_window_step(w, transfer))[0]
+                        w = np.linalg.qr(_adjoint_window_step(w, *tables))[0]
                 return x, np.linalg.solve(w.conj().T @ x, w.conj().T)
             x = np.linalg.qr(z)[0]
             if walks:
-                w = np.linalg.qr(_adjoint_window_step(w, transfer))[0]
+                w = np.linalg.qr(_adjoint_window_step(w, *tables))[0]
     return None
 
 
@@ -316,7 +289,7 @@ def _block_map(x, p, transfer, readout, lengths):
     needed = {length if length <= half else length - half for length in lengths} | {half}
     maps, power = {}, x
     for length in range(1, half + 1):
-        pushed = window_step(power, transfer)
+        pushed = window_step(power, transfer.head, transfer.tail)
         if length in needed:
             maps[length] = p @ pushed, readout @ power
         power = pushed
@@ -344,15 +317,10 @@ def _sweep(f, power, k):
 
 
 def _step(f, n, transfer, table):
-    """Step n on the folded window f.
-
-    A steady step returns the next folded window. A ramp step builds its
-    factor at its own width and returns the (rows, 4) product, before its fold.
-    """
+    """Step n on the window f: with the steady tables past the ramp, else with step n's own."""
     if n > transfer.dk_max:
-        return window_step(f, transfer)
-    g2d = _step_factor(n - 1, transfer.k_tensor, table)
-    return np.multiply(f[:, None], g2d, out=g2d)
+        return window_step(f, transfer.head, transfer.tail)
+    return window_step(f, *_tables(_step_factors(n, transfer.k_tensor, table)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -360,8 +328,9 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     """Iterate the window from the initial 4-vector ``rho0v`` at step 0.
 
     Returns the corrected 4-vector readouts at the steps every, 2 every, ...
-    and n_steps, one row each. Steps are taken one at a time, a ramp step
-    read out at a sample before it is folded and a steady one as R f before
+    and n_steps, one row each. The window starts at full width with rho0v
+    on its newest point and phantoms before it, so ramp and steady steps
+    alike go through ``_step``, each read out at a sample as R_n f before
     the step, until the window settles on the slow modes: the run checks at
     each step from M to 2M, at n = M + 2^k and at block boundaries. Every
     later step, partial blocks included, is walked.
@@ -373,27 +342,19 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     first = -(-m // every)
     readout = modes = None
     if n_steps > m:
-        # R[y, j] = g[j, y] c[j, y] reads the window out before a steady step
-        readout = _readout_factor(m + 1, table)
-        readout = np.multiply(readout, transfer.step, out=readout).T
+        readout = _readout(m + 1, transfer.k_tensor, table)
         modes = _slow_modes(transfer, first < full)
 
-    f = rho0v
+    # the M - 1 phantom points before point 0 hold index 0 only
+    f = np.zeros(4 ** m, dtype=np.complex128)
+    f[:4] = rho0v
     samples = np.empty((n_blocks, 4), dtype=np.complex128)
     for n in range(1, n_steps + 1):
-        sampled = n % every == 0 or n == n_steps
-        if n > m:
-            if sampled:
-                samples[(n - 1) // every] = readout @ f
-            f = _step(f, n, transfer, table)
-        else:
-            e2d = _step(f, n, transfer, table)
-            if sampled:
-                c2d = _readout_factor(n, table)
-                samples[(n - 1) // every] = np.multiply(e2d, c2d, out=c2d).sum(axis=0)
-                del c2d  # released before the next step's factor is built
-            f = e2d.reshape(4, -1).sum(axis=0) if n == m else e2d.ravel()
-            del e2d  # the last ramp product is not held through the steady steps
+        if n % every == 0 or n == n_steps:
+            # a ramp R is built for its sample alone and released at once
+            samples[(n - 1) // every] = (readout if n > m else
+                                         _readout(n, transfer.k_tensor, table)) @ f
+        f = _step(f, n, transfer, table)
         # settled? at each step to 2M, where the paper point settles, then at
         # n - M = 2^k and at block boundaries: a run that never settles checks
         # about M + log2(n) + n / every times

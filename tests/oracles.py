@@ -8,7 +8,10 @@ one-dimensional time-domain integrals of gamma against the geometric
 overlap kernel of the two integration cells, avoiding the package's route
 through the double integral Q. These are slow, so their results are cached.
 ``projected_fit_tau`` finds the least-squares decay time by bisection, with
-none of the fit's iteration.
+none of the fit's iteration. ``step_factor`` and ``readout_factor`` build
+each ITM step's factor densely at the window's own width, with no phantom
+points and no factored tables, for ``per_step_evolve_window``;
+``pure_dephasing_coherence`` is the closed form of a run with a diagonal U.
 """
 
 from functools import cache
@@ -16,8 +19,9 @@ from functools import cache
 import mpmath as mp
 import numpy as np
 
-from jcqsim import itm
 from jcqsim.bath import OhmicBath
+from jcqsim.influence import (ENDPOINT, INTERIOR, pair_factor_table,
+                              self_factor_table)
 from jcqsim.units import HBAR
 
 
@@ -162,14 +166,57 @@ def monolithic_influence(path_plus, path_minus, table) -> complex:
     return np.exp(-g2 / HBAR * phase)
 
 
+def _on_axes(factor: np.ndarray, axes: tuple, width: int) -> np.ndarray:
+    """Reshape a (4,) or (4, 4) factor for broadcasting onto given axes."""
+    shape = [1] * width
+    for ax in axes:
+        shape[ax] = 4
+    return factor.reshape(shape)
+
+
+def step_factor(n: int, k_tensor: np.ndarray, table) -> np.ndarray:
+    """Factor multiplied in on step n -> n+1, over the points max(0, n+1-M) .. n+1, as (rows, 4)."""
+    m = table.dk_max
+    lo = max(0, n + 1 - m)
+    width = n + 2 - lo
+    ax_n = width - 2
+    self_kind = ENDPOINT if n == 0 else INTERIOR
+    fac = _on_axes(k_tensor, (ax_n, width - 1), width).astype(complex)
+    fac = fac * _on_axes(self_factor_table(table.eta_self(self_kind)), (ax_n,), width)
+    for dk in range(1, min(n + 1, m) + 1):
+        earlier = n + 1 - dk
+        kind = "ei" if earlier == 0 else "ii"
+        fac = fac * _on_axes(pair_factor_table(table.eta_pair(dk, kind)),
+                             (earlier - lo, width - 1), width)
+    return fac.reshape(-1, 4)
+
+
+def readout_factor(n: int, table) -> np.ndarray:
+    """Terminal correction of the readout at step n, over the points max(0, n-M) .. n, as (rows, 4)."""
+    m = table.dk_max
+    lo = max(0, n - m)
+    width = n + 1 - lo
+    c = _on_axes(self_factor_table(table.eta_self(ENDPOINT)), (width - 1,), width)
+    for dk in range(1, min(n, m) + 1):
+        earlier = n - dk
+        applied = table.eta_pair(dk, "ei" if earlier == 0 else "ii")
+        terminal = table.eta_pair(dk, "ee" if earlier == 0 else "ei")
+        c = c * _on_axes(pair_factor_table(terminal - applied),
+                         (earlier - lo, width - 1), width)
+    return c.reshape(-1, 4)
+
+
 def per_step_evolve_window(rho0v, transfer, table, n_steps, every):
     """Window iteration one step at a time from step 0, as a drop-in for evolve_window.
 
-    Each step folds out the oldest point once the window holds M + 1
-    points, multiplies in the step factor and reads out at the sample
-    steps every, 2 every, ... and n_steps.
+    The window grows by one point a step; once it holds M + 1 points each
+    step first folds out the oldest. Each step multiplies in the dense
+    ``step_factor``, the same at every step past M, and reads out with
+    ``readout_factor`` at the sample steps every, 2 every, ... and n_steps.
+    Only the bare pair tensor K is taken from ``transfer``.
     """
-    m, steady_step = transfer.dk_max, transfer.step
+    m = transfer.dk_max
+    steady_step = step_factor(m, transfer.k_tensor, table)
     sample_steps = [*range(every, n_steps, every), n_steps]
     state = np.array(rho0v, dtype=complex)
     samples = np.zeros((len(sample_steps), 4), dtype=complex)
@@ -179,13 +226,33 @@ def per_step_evolve_window(rho0v, transfer, table, n_steps, every):
             state = state.reshape(4, -1).sum(axis=0)
             g2d = steady_step
         else:
-            g2d = itm._step_factor(n - 1, transfer.k_tensor, table)
+            g2d = step_factor(n - 1, transfer.k_tensor, table)
         e2d = state[:, None] * g2d
         state = e2d.ravel()
         if n == sample_steps[si]:
-            samples[si] = (e2d * itm._readout_factor(min(n, m + 1), table)).sum(axis=0)
+            samples[si] = (e2d * readout_factor(min(n, m + 1), table)).sum(axis=0)
             si += 1
     return samples
+
+
+def pure_dephasing_coherence(table, phi: float, steps) -> np.ndarray:
+    """rho01 at each step n of ``steps`` from rho0 = plus under U = diag(e^(i phi), e^(-i phi)).
+
+    No path flips a spin, so rho01(n) = (1/2) e^(2 i phi n) exp(-Phi_M(n) / hbar),
+    with the coupling weight's 4 g^2 = 1. Phi_M(n) sums Re eta along the
+    path: the two endpoint self terms, n - 1 interior ones, and for each
+    dk <= min(M, n) the ee pair if dk = n, else two ei pairs and n - dk - 1
+    ii pairs.
+    """
+    steps = np.asarray(steps)
+    phase = (2.0 * table.eta_self_end.real
+             + (steps - 1) * table.eta_self_interior.real)
+    for dk in range(1, table.dk_max + 1):
+        pairs = np.where(steps == dk, table.eta_pair(dk, "ee").real,
+                         2.0 * table.eta_pair(dk, "ei").real
+                         + (steps - dk - 1) * table.eta_pair(dk, "ii").real)
+        phase = phase + np.where(steps >= dk, pairs, 0.0)
+    return 0.5 * np.exp(2j * phi * steps) * np.exp(-phase / HBAR)
 
 
 def _projected_slope(t, y, tau):

@@ -117,6 +117,16 @@ class TestFitDecay:
         with pytest.raises(NoDecayError, match="abs_rho01 shows no exponential decay"):
             fit_decay(_synthetic_trajectory(t, y), "abs_rho01")
 
+    def test_late_window(self):
+        # time runs from the first fitted sample: on absolute times the decay
+        # underflows at every tau the search tries, 3,000 tau after t = 0
+        t = 1.0e5 + np.arange(100.0)
+        y = 0.2 + 0.3 * np.exp(-(t - 1.0e5) / 30.0)
+        fit = fit_decay(_synthetic_trajectory(t, y), "abs_rho01")
+        assert fit.tau == pytest.approx(30.0 * US_PER_PS, rel=1e-9)
+        assert fit.c0 == pytest.approx(0.5, rel=1e-9)
+        assert fit.c_inf == pytest.approx(0.2, rel=1e-9)
+
     def test_sample_count_precondition(self):
         t = np.linspace(0.0, 1e6, 20)
         with pytest.raises(ConfigError):

@@ -9,7 +9,7 @@ from jcqsim import (CapacityError, ConfigError, HBAR, InstabilityError, OhmicBat
                     brute_force_path_sum, build_transfer_tensor, eta_coefficients,
                     initial_state, propagate, short_time_propagator)
 from jcqsim.influence import EtaTable
-from oracles import monolithic_influence
+from oracles import monolithic_influence, step_factor
 
 DT = 12.707
 
@@ -29,13 +29,13 @@ class TestTransferTensor:
     def test_free_dense_equals_bare_propagator(self, paper_qubit, free_table):
         u = short_time_propagator(paper_qubit, DT)
         transfer = build_transfer_tensor(u, free_table)
-        dense = itm.window_step(np.eye(4, dtype=complex), transfer).T
+        dense = itm.window_step(np.eye(4, dtype=complex), transfer.head, transfer.tail).T
         np.testing.assert_array_equal(dense, itm._pair_tensor(u))
 
     def test_dense_overlap_structure(self, paper_bath, paper_qubit):
         table = eta_coefficients(paper_bath, DT, 4, 2)
         transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
-        dense = itm.window_step(np.eye(16, dtype=complex), transfer).T
+        dense = itm.window_step(np.eye(16, dtype=complex), transfer.head, transfer.tail).T
         assert dense.shape == (16, 16)
         for row in range(16):
             allowed = {(row % 4) * 4 + y for y in range(4)}
@@ -189,10 +189,10 @@ class TestGuardsAndErrors:
         assert peak < 1 << 20
 
     def test_all_ramp_run_stays_small(self, paper_bath, paper_qubit):
-        # every step of an 8-step run at dk_max 8 is in the ramp: its factors are
-        # built at their own width, at most 4^9 entries (4 MiB), and multiplied
-        # into; the readout comes before the last fold, and the steady readout
-        # correction is never needed
+        # every step of an 8-step run at dk_max 8 is in the ramp, on the full
+        # 4^8-entry window (1 MiB) with (q/4, 4) step tables; each sampled step
+        # builds its own (4, q) readout (4 MiB) and releases it before the step,
+        # and the steady readout is never built
         table = eta_coefficients(paper_bath, DT, 8, 8)
         transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
         tracemalloc.start()
@@ -201,7 +201,7 @@ class TestGuardsAndErrors:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 10.5 * 2**20
+        assert peak < 8 * 2**20
 
     def test_explosion_guard_reports_step(self, paper_qubit):
         # an amplifying self term (negative real part) blows the window up: the
@@ -244,12 +244,13 @@ class TestGuardsAndErrors:
 
 def test_dense_transfer_consistent_with_step_tensor(paper_bath, paper_qubit):
     # dense maps window (p_k, p_{k+1}) -> (p_{k+1}, p_{k+2}) by contracting the
-    # oldest point against the step factors
+    # oldest point against the oracle's dense steady step factor
     table = eta_coefficients(paper_bath, DT, 4, 2)
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
     rng = np.random.default_rng(3)
     window = rng.normal(size=16) + 1j * rng.normal(size=16)
-    via_dense = window @ itm.window_step(np.eye(16, dtype=complex), transfer).T
+    via_dense = window @ itm.window_step(np.eye(16, dtype=complex), transfer.head,
+                                         transfer.tail).T
     via_step = np.einsum("ab,aby->by", window.reshape(4, 4),
-                         transfer.step.reshape(4, 4, 4)).ravel()
+                         step_factor(2, transfer.k_tensor, table).reshape(4, 4, 4)).ravel()
     np.testing.assert_allclose(via_dense, via_step, atol=1e-12)

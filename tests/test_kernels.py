@@ -15,7 +15,8 @@ from jcqsim import (InstabilityError, OhmicBath, QubitParameters, build_transfer
                     eta_coefficients, initial_state, propagate, short_time_propagator)
 from jcqsim.influence import COUPLING_WEIGHT, EtaTable
 from jcqsim.units import HBAR
-from oracles import per_step_evolve_window
+from oracles import (per_step_evolve_window, pure_dephasing_coherence, readout_factor,
+                     step_factor)
 
 DT = 12.707
 N_STEPS = 5003  # a multiple of neither 7 nor 64
@@ -29,6 +30,8 @@ N_PAPER = step_count(3.0e6, DT)
 SLOW_MAP_TAU2_US = {5: 0.998808, 6: 1.006883}
 # steps past the ramp after which the paper point's window lies on the slow modes
 TRANSIENT = 64
+# phase of the diagonal one-step propagator of the pure-dephasing runs
+PHI = 0.3
 
 
 @pytest.fixture(scope="module")
@@ -96,18 +99,19 @@ def test_backend_name():
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4, 5, 6])
 def test_window_step_matches_dense_step(steady, dk_max):
-    # the factored step against the dense step tensor g = head * tail, on one
-    # window and on C- and Fortran-ordered blocks of windows
-    transfer, _ = steady(dk_max)
-    step = transfer.step
+    # the factored step against the oracle's dense steady step tensor g, on
+    # one window and on C- and Fortran-ordered blocks of windows
+    transfer, table = steady(dk_max)
+    step = step_factor(dk_max, transfer.k_tensor, table)
+    tables = transfer.head, transfer.tail
     rng = np.random.default_rng(dk_max)
     windows = rng.normal(size=(4 ** dk_max, 3)) + 1j * rng.normal(size=(4 ** dk_max, 3))
     reference = np.stack([(f[:, None] * step).reshape(4, -1).sum(axis=0)
                           for f in windows.T], axis=1)
     bound = 1e-14 * np.abs(reference).max()
-    assert np.abs(itm.window_step(windows[:, 0], transfer) - reference[:, 0]).max() <= bound
+    assert np.abs(itm.window_step(windows[:, 0], *tables) - reference[:, 0]).max() <= bound
     for block in (windows, np.asfortranarray(windows)):
-        assert np.abs(itm.window_step(block, transfer) - reference).max() <= bound
+        assert np.abs(itm.window_step(block, *tables) - reference).max() <= bound
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4, 5, 6])
@@ -117,9 +121,51 @@ def test_adjoint_window_step_is_the_adjoint(steady, dk_max):
     rng = np.random.default_rng(dk_max)
     e, f = (rng.normal(size=(4 ** dk_max, 2)) + 1j * rng.normal(size=(4 ** dk_max, 2))
             for _ in range(2))
-    forward = e.conj().T @ itm.window_step(f, transfer)
-    backward = itm._adjoint_window_step(e, transfer).conj().T @ f
+    forward = e.conj().T @ itm.window_step(f, transfer.head, transfer.tail)
+    backward = itm._adjoint_window_step(e, transfer.head, transfer.tail).conj().T @ f
     assert np.abs(forward - backward).max() <= 1e-13 * np.abs(forward).max()
+
+
+@pytest.mark.parametrize("temperature, n_g", [(30.0, 0.5), (100.0, 0.45)])
+@pytest.mark.parametrize("dk_max", [1, 2, 3, 4, 5, 6])
+def test_step_tables_match_dense_factors(dk_max, temperature, n_g):
+    # step n's tables and R_n, expanded on the full window and cut to the rows
+    # whose phantom digits are 0, against the oracle's dense factors at the
+    # window's own width, through the ramp and at the first steady step
+    bath = OhmicBath(alpha=5e-6, omega_c=5.0, temperature=temperature)
+    qubit = QubitParameters(e_j=51.8, e_c=122.0, n_g=n_g)
+    table = eta_coefficients(bath, DT, N_STEPS, dk_max)
+    transfer = build_transfer_tensor(short_time_propagator(qubit, DT), table)
+    for n in range(1, dk_max + 2):
+        head, tail = itm._tables(itm._step_factors(n, transfer.k_tensor, table))
+        real = 4 ** min(n, dk_max)
+        step = (head[:, None, :] * tail).reshape(-1, 4)[:real]
+        reference = step_factor(n - 1, transfer.k_tensor, table)
+        assert np.abs(step - reference).max() <= 1e-15 * np.abs(reference).max()
+        readout = itm._readout(n, transfer.k_tensor, table).T[:real]
+        reference = reference * readout_factor(n, table)
+        assert np.abs(readout - reference).max() <= 1e-15 * np.abs(reference).max()
+    np.testing.assert_array_equal(head, transfer.head)
+    np.testing.assert_array_equal(tail, transfer.tail)
+
+
+@pytest.mark.parametrize("dk_max", [2, 3, 4, 6])
+def test_ramp_windows_vanish_off_the_phantom_index(monkeypatch, steady, dk_max):
+    # before step n <= M the M - n oldest points are phantoms: the window is
+    # exactly 0 wherever one of their digits is not 0
+    windows = {}
+    step = itm._step
+
+    def spy_step(f, n, transfer, table):
+        windows[n] = f.copy()
+        return step(f, n, transfer, table)
+
+    monkeypatch.setattr(itm, "_step", spy_step)
+    transfer, table = steady(dk_max)
+    propagate(initial_state("zero"), transfer, table, 40, sample_every=1)
+    for n in range(1, dk_max + 1):
+        by_phantoms = windows[n].reshape(4 ** (dk_max - n), 4 ** n)
+        assert not by_phantoms[1:].any() and by_phantoms[0].any()
 
 
 @pytest.mark.parametrize("every, n_steps", [
@@ -172,9 +218,10 @@ def test_paper_walk_starts_when_the_window_settles(stepped, steady, dk_max):
     assert dk_max < len(stepped) <= 2 * dk_max
 
 
-def test_paper_run_walk_matches_per_step(paper_bath, paper_qubit):
-    # the walk over the paper's full 236,090-step run at memory span 4
-    table = eta_coefficients(paper_bath, DT, N_PAPER, 4)
+@pytest.mark.parametrize("dk_max", [1, 2, 4])
+def test_paper_run_walk_matches_per_step(paper_bath, paper_qubit, dk_max):
+    # the walk over the paper's full 236,090-step run
+    table = eta_coefficients(paper_bath, DT, N_PAPER, dk_max)
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
     rho0v = initial_state("zero").reshape(4)
     samples = itm.evolve_window(rho0v, transfer, table, N_PAPER, 64)
@@ -222,9 +269,9 @@ def test_adjoint_basis_only_for_runs_that_walk(monkeypatch, steady, n_steps, eve
     calls = []
     adjoint_window_step = itm._adjoint_window_step
 
-    def spy_adjoint_window_step(e, g2d):
+    def spy_adjoint_window_step(e, head, tail):
         calls.append(e.shape)
-        return adjoint_window_step(e, g2d)
+        return adjoint_window_step(e, head, tail)
 
     monkeypatch.setattr(itm, "_adjoint_window_step", spy_adjoint_window_step)
     transfer, table = steady(4)
@@ -279,11 +326,11 @@ def test_slow_modes_span_the_steady_map(steady, dk_max):
     # and P A = H P, so the walk drops no slow part of a fast component
     transfer, _ = steady(dk_max)
     x, p = itm._slow_modes(transfer, True)
-    ax = itm.window_step(x, transfer)
+    ax = itm.window_step(x, transfer.head, transfer.tail)
     assert np.abs(ax - x @ (p @ ax)).max() <= 1e-14
     np.testing.assert_allclose(p @ x, np.eye(4), atol=1e-12)
     windows = np.random.default_rng(dk_max).normal(size=(4 ** dk_max, 2)) + 0j
-    drift = p @ itm.window_step(windows, transfer) - (p @ ax) @ (p @ windows)
+    drift = p @ itm.window_step(windows, transfer.head, transfer.tail) - (p @ ax) @ (p @ windows)
     assert np.abs(drift).max() <= 1e-12 * np.abs(windows).sum(axis=0).max()
     radii = np.sort(np.abs(np.linalg.eigvals(p @ ax)))
     assert radii[-1] == pytest.approx(1.0, abs=1e-12)
@@ -362,6 +409,39 @@ def test_pure_dephasing_run_walks(stepped, paper_bath, dk_max):
     assert np.abs(samples - reference).max() <= 1e-11
 
 
+def pure_dephasing_deviation(temperature, dk_max, n_steps, every):
+    """Largest deviation of a run from rho0 = plus under a diagonal U from its closed form."""
+    bath = OhmicBath(alpha=5e-6, omega_c=5.0, temperature=temperature)
+    table = eta_coefficients(bath, DT, n_steps, dk_max)
+    transfer = build_transfer_tensor(np.diag(np.exp([1j * PHI, -1j * PHI])), table)
+    traj = propagate(initial_state("plus"), transfer, table, n_steps, sample_every=every)
+    steps = np.append(np.arange(0, n_steps, every), n_steps)
+    coherence = pure_dephasing_coherence(table, PHI, steps)
+    expected = np.stack([np.full(len(steps), 0.5), coherence, coherence.conj(),
+                         np.full(len(steps), 0.5)], axis=1).reshape(-1, 2, 2)
+    return np.abs(traj.rhos[1:] - expected[1:]).max()
+
+
+@pytest.mark.parametrize("n_steps, every", [
+    pytest.param(20000, 1, id="20000-every1"),
+    pytest.param(20000, 7, id="20000-every7"),
+    pytest.param(N_PAPER, 64, id="paper-every64"),
+])
+@pytest.mark.parametrize("temperature", [30.0, 100.0])
+@pytest.mark.parametrize("dk_max", [1, 2, 3, 4, 6])
+def test_pure_dephasing_matches_closed_form(dk_max, temperature, n_steps, every):
+    # no path flips a spin under a diagonal U, so rho01 has a closed form at
+    # every step: a check of the ramp, the walk and the sampling that shares
+    # nothing with the kernel but the eta table
+    assert pure_dephasing_deviation(temperature, dk_max, n_steps, every) <= 1e-10
+
+
+@pytest.mark.parametrize("n_steps", [2, 3, 4, 5, 6, 7, 8])
+def test_pure_dephasing_full_memory_matches_closed_form(n_steps):
+    # at dk_max = N every step is a ramp step and the sum covers every pair
+    assert pure_dephasing_deviation(30.0, n_steps, n_steps, 1) <= 1e-14
+
+
 class CountedMatrix(np.ndarray):
     """A power of the block map that counts the matrix products it takes part in.
 
@@ -389,13 +469,13 @@ def test_block_maps_chain_half_blocks(steady, dk_max):
     # maps read off a push through all L steps
     transfer, table = steady(dk_max)
     x, p = itm._slow_modes(transfer, True)
-    readout = (transfer.step * itm._readout_factor(dk_max + 1, table)).T
+    readout = itm._readout(dk_max + 1, transfer.k_tensor, table)
     lengths = {64, 63, 40, 33, 5, 1}
     maps = itm._block_map(x, p, transfer, readout, lengths)
     assert maps.keys() == lengths
     power = x
     for length in range(1, 65):
-        pushed = itm.window_step(power, transfer)
+        pushed = itm.window_step(power, transfer.head, transfer.tail)
         if length in lengths:
             h, sample = maps[length]
             assert np.abs(h - p @ pushed).max() <= 1e-13
@@ -409,7 +489,7 @@ def test_sweep_matches_repeated_jumps(steady, dk_max, top):
     # 2^d = 64 blocks: rows 0 .. 2^d - 1 take d products
     k = {"0": 0, "1": 1, "2^d-1": 63, "2^d": 64, "2^d+1": 65}[top]
     transfer, table = steady(dk_max)
-    readout = (transfer.step * itm._readout_factor(dk_max + 1, table)).T
+    readout = itm._readout(dk_max + 1, transfer.k_tensor, table)
     h, _ = itm._block_map(*itm._slow_modes(transfer, True), transfer, readout, {64})[64]
     y = np.random.default_rng(k).normal(size=4) * 0.1 + 0j
     rows = itm._sweep(y, h.T, k)
