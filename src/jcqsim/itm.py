@@ -30,39 +30,40 @@ term linear in eta, so this is step n's factor times the ratio between
 the terminal-class and applied-class factors. Keeping M points before the
 new one makes every such pair available, so the iteration with
 dk_max = N reproduces the exact path sum identically. The steady R is
-built once per run, a ramp R only at a sampled ramp step.
+built once per run as a dense (4, q) array; a sampled ramp step takes
+step n on its terminal tables and sums the result over r, with no R_n.
 
 Past the ramp every step is the same linear map A on f,
 (A f)[4r + y] = tail[r, y] sum_a head[a, y] f[a q/4 + r]. A has four
 slow modes, the reduced density matrix's own one-step map; the others
 decay within a few dozen steps (the transfer-tensor picture of Cerrillo
 and Cao, PRL 112, 110401 (2014)). Before step 1 of a run that reaches
-the steady map, ``_slow_modes`` finds an orthonormal basis X of them and,
-if the run walks a block, their coordinates P. X^H A X holds A's largest
-eigenvalues: if it is not finite or its spectral radius exceeds
+the steady map, ``_slow_modes`` finds an orthonormal basis X of them by
+orthogonal iteration, with a QR once every M steps. X^H A X holds A's
+largest eigenvalues: if it is not finite or its spectral radius exceeds
 ``SLOW_RADIUS``, A grows without bound and the run is refused with
 InstabilityError at step M + 1.
 
 Steps are taken one at a time through the ramp and the transient, each
 read out at a sample as R_n f before the step. At every step from M to
 2M, at n = M + 2^k and at block boundaries, the run checks whether the
-window f lies in span X; from there f = X y and no step is taken one at
-a time. At the paper point the window settles by step 2M; a run that
-never settles pays about M + log2(n) extra checks, each about the cost
-of a step. A run that samples every L = ``every`` steps is cut into
-blocks of L steps and a last, partial one. Pushing X through c =
-ceil(L/2) steps gives H_j = P A^j X and S_j = R A^(j-1) X for j <= c.
-A longer block L = c + b chains them. A^c X = X H_c + E with the fast
-part E = (I - X P) A^c X, and P A = H_1 P, so P annihilates A^b E and
-H_L = H_b H_c holds exactly. S_L = S_b H_c holds only up to R A^(b-1) E,
-which is as small as X's invariance residual |A X - X P A X| (1e-14).
-The same push gives H_j and S_j for the two partial blocks, from the
-walk's start to the next sample and the last one. ``_sweep`` lists the
-block start windows y_{i+1} = H_L y_i by doubling, and each sample is
-S_L y_i. At M = 1 the window has q = 4 entries and lies in span X, so
-the walk starts right after the ramp. Every step is taken one at a time
-if the iteration does not converge or the transient does not settle. A
-non-finite sample raises InstabilityError at its step.
+window f lies in span X; from there f = X y, with y = X^H f, and no step
+is taken one at a time. At the paper point the window settles by step
+2M; a run that never settles pays about M + log2(n) extra checks, each
+about the cost of a step. A run that samples every L = ``every`` steps
+is cut into blocks of L steps and a last, partial one. Pushing X through
+c = ceil(L/2) steps gives H_j = X^H A^j X and S_j = R A^(j-1) X for
+j <= c. A longer block L = c + b chains them, H_L = H_b H_c and
+S_L = S_b H_c: both hold up to X's fast part, |A X - X X^H A X|, which
+the iteration leaves at the rounding floor (below 1e-15 at the paper
+point). The same push gives H_j and S_j for the two partial blocks, from
+the walk's start to the next sample and the last one. ``_sweep`` reads
+every sample S_L H_L^i y off a two-level grid of powers of H_L. At M = 1
+the window has q = 4 entries and lies in span X = I, so the walk starts
+right after the ramp. Every step is taken one at a time if the iteration
+does not converge, if the transient does not settle, or if the run has no
+full block past step M. A non-finite sample raises InstabilityError at
+its step.
 
 The readout R has 4^(M+1) entries, so the memory span is capped at
 ``SPAN_CAP``, the same bound as the path length of the path sum.
@@ -85,10 +86,10 @@ SPAN_CAP = 10
 # Largest number of output rows, trajectory samples or response grid points.
 ROW_CAP = 2 ** 24
 
-# The slow basis has converged, and the transient settled, once A X, or the
-# window, lies in span X to this relative norm.
+# The slow basis has converged, and the transient settled, once A^M X, or
+# the window, lies in span X to this relative norm.
 SLOW_TOL = 1e-14
-# Orthogonal iterations before the slow basis is given up.
+# Steps of the orthogonal iteration before the slow basis is given up.
 SLOW_ITERATIONS = 100
 # Largest spectral radius of the steady map; above it a run is refused.
 SLOW_RADIUS = 1.0 + 1e-12
@@ -222,98 +223,95 @@ def build_transfer_tensor(u: np.ndarray, table: EtaTable) -> TransferTensor:
     return TransferTensor(dk_max=m, k_tensor=k_tensor, head=head, tail=tail)
 
 
-def _adjoint_window_step(e, head, tail):
-    """``window_step``'s adjoint: entry a q/4 + r sums conj(head[a, y] tail[r, y]) e[4r + y] over y."""
-    if tail.shape[0] == 1:
-        return head.conj() @ e
-    windows = np.ascontiguousarray(e.T).reshape(-1, tail.shape[0], 4) * tail.conj()
-    out = np.matmul(head.conj(), windows.transpose(0, 2, 1))
-    return out.reshape(e.shape[::-1]).T
-
-
-def _coordinates(x, p, z):
-    """Coordinates p z of z on span X, and whether z lies in span X to ``SLOW_TOL``."""
-    y = p @ z
+def _coordinates(x, z):
+    """Coordinates X^H z of z on span X, and whether z lies in span X to ``SLOW_TOL``."""
+    y = x.conj().T @ z
     return y, np.linalg.norm(z - x @ y) <= SLOW_TOL * np.linalg.norm(z)
 
 
-def _slow_modes(transfer, walks):
-    """(X, P): an orthonormal (q, 4) basis X of A's slow modes and their coordinates P.
+def _slow_modes(transfer):
+    """An orthonormal (q, 4) basis X of A's slow modes, or None after ``SLOW_ITERATIONS`` steps.
 
-    Orthogonal iteration from the first four columns of the identity until
-    A X lies in span X; if the run ``walks`` a block, W takes as many steps
-    with A^H and P = (W^H X)^-1 W^H, so X P projects along the fast modes.
-    Where A^H collapses those columns (a diagonal U maps them to zero),
-    W^H X is singular or ill-conditioned, and W takes its steps again from
-    X. None after ``SLOW_ITERATIONS``, or if the run walks no block.
+    Orthogonal iteration from the first four columns of the identity, with
+    M = dk_max steps of A between QRs: A's fast part acts like a nilpotent
+    of index M, so a check made after fewer steps almost never passes. Each
+    chunk pushes X through M steps and stops once A^M X lies in span X.
+    At M = 1 the window is the whole slow subspace and X = I takes no QR.
     Raises InstabilityError at step M + 1, the first steady step, if
-    X^H A X is not finite or its spectral radius exceeds ``SLOW_RADIUS``.
+    X^H A^M X is not finite, or if the spectral radius of X^H A X, from
+    the chunk that converged, exceeds ``SLOW_RADIUS``.
     """
-    step, tables = transfer.dk_max + 1, (transfer.head, transfer.tail)
-    x = w = np.eye(4 ** transfer.dk_max, 4, dtype=np.complex128)
+    m, tables = transfer.dk_max, (transfer.head, transfer.tail)
+    x = np.eye(4 ** m, 4, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        for iterations in range(SLOW_ITERATIONS):
+        for _ in range(SLOW_ITERATIONS // m):
             z = window_step(x, *tables)
-            h, settled = _coordinates(x, x.conj().T, z)
-            if not np.isfinite(h).all():
-                raise InstabilityError(f"steady map is not finite at step {step}", step=step)
+            h = x.conj().T @ z
+            for _ in range(m - 1):
+                z = window_step(z, *tables)
+            y, settled = _coordinates(x, z)
+            if not np.isfinite(y).all():
+                raise InstabilityError(f"steady map is not finite at step {m + 1}", step=m + 1)
             if settled:
                 radius = np.abs(np.linalg.eigvals(h)).max()
                 if radius > SLOW_RADIUS:
                     raise InstabilityError(f"steady map grows, spectral radius "
-                                           f"{radius:.12g}, at step {step}", step=step)
-                if not walks:
-                    return None
-                # solving with a condition number above 1e8 loses half the digits of P
-                if np.linalg.cond(w.conj().T @ x) > 1e8:
-                    w = x
-                    for _ in range(iterations):
-                        w = np.linalg.qr(_adjoint_window_step(w, *tables))[0]
-                return x, np.linalg.solve(w.conj().T @ x, w.conj().T)
+                                           f"{radius:.12g}, at step {m + 1}", step=m + 1)
+                return x
             x = np.linalg.qr(z)[0]
-            if walks:
-                w = np.linalg.qr(_adjoint_window_step(w, *tables))[0]
     return None
 
 
-def _block_map(x, p, transfer, readout, lengths):
-    """{L: (H_L, S_L)} with H_L = P A^L X and S_L = R A^(L-1) X, for each L in ``lengths``.
+def _block_map(x, transfer, readout, lengths):
+    """{L: (H_L, S_L)} with H_L = X^H A^L X and S_L = R A^(L-1) X, for each L in ``lengths``.
 
     X is pushed through c = ceil(max(lengths) / 2) steps only, and the maps
-    for j <= c are read off its powers. A longer L = c + b chains them:
-    H_L = H_b H_c exactly, as P A = H_1 P annihilates the fast part of
-    A^c X, and S_L = S_b H_c up to X's invariance residual, which R does
-    not annihilate.
+    for j <= c are read off its powers. A longer L = c + b chains them,
+    H_L = H_b H_c and S_L = S_b H_c. Both hold up to X's fast part, the
+    part of A X outside span X, which is at the rounding floor once
+    ``_slow_modes`` has converged.
     """
     half = -(-max(lengths) // 2)
     needed = {length if length <= half else length - half for length in lengths} | {half}
-    maps, power = {}, x
+    maps, power, xh = {}, x, x.conj().T
     for length in range(1, half + 1):
         pushed = window_step(power, transfer.head, transfer.tail)
         if length in needed:
-            maps[length] = p @ pushed, readout @ power
+            maps[length] = xh @ pushed, readout @ power
         power = pushed
     h_half = maps[half][0]
     return {length: maps[length] if length <= half else
             tuple(block @ h_half for block in maps[length - half]) for length in lengths}
 
 
-def _sweep(f, power, k):
-    """Rows (H^i f)^T for i = 0..k, from power = H^T.
+def _sweep(y, h, sample, k):
+    """(samples, H^k y): the rows S H^i y for i < k, from the block map H and readout S.
 
-    Doubling j fills the next rows with the rows so far times (H^(2^j))^T,
-    then squares it, so the k + 1 rows take k.bit_length() products.
+    A two-level grid i = a w + b, with w a power of 2 near sqrt(k + 1).
+    The powers H^b, b < w, are built by doubling on a (w, 4, 4) stack,
+    which leaves H^w; the block starts (H^w)^a y by doubling rows, each
+    fill one product with the rows so far; then one (a, 4) x (4, 4 w)
+    product against the stacked S H^b gives every sample.
     """
-    rows = np.empty((k + 1, f.size), dtype=np.complex128)
-    rows[0] = f
-    width = 1
-    while width <= k:
-        n = min(width, k + 1 - width)
-        np.matmul(rows[:n], power, out=rows[width:width + n])
-        width += n
-        if width <= k:
+    width = 1 << ((k + 1).bit_length() // 2)
+    powers = np.empty((width, 4, 4), dtype=np.complex128)
+    powers[0] = np.eye(4)
+    power, filled = h, 1
+    while filled < width:
+        np.matmul(powers[:filled], power, out=powers[filled:2 * filled])
+        power = power @ power
+        filled *= 2
+    starts = np.empty((k // width + 1, 4), dtype=np.complex128)
+    starts[0] = y
+    power, filled = power.T, 1
+    while filled < len(starts):
+        n = min(filled, len(starts) - filled)
+        np.matmul(starts[:n], power, out=starts[filled:filled + n])
+        filled += n
+        if filled < len(starts):
             power = power @ power
-    return rows
+    grid = starts @ (sample @ powers).transpose(2, 0, 1).reshape(4, -1)
+    return grid.reshape(-1, 4)[:k], powers[k % width] @ starts[k // width]
 
 
 def _step(f, n, transfer, table):
@@ -338,12 +336,12 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     """
     m = transfer.dk_max
     n_blocks, full = -(-n_steps // every), n_steps // every
-    # the first block that starts at or after step M; the run walks if it is full
+    # the first block that starts at or after step M; the run walks only if it is full
     first = -(-m // every)
-    readout = modes = None
+    readout = x = None
     if n_steps > m:
         readout = _readout(m + 1, transfer.k_tensor, table)
-        modes = _slow_modes(transfer, first < full)
+        x = _slow_modes(transfer)
 
     # the M - 1 phantom points before point 0 hold index 0 only
     f = np.zeros(4 ** m, dtype=np.complex128)
@@ -351,30 +349,30 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     samples = np.empty((n_blocks, 4), dtype=np.complex128)
     for n in range(1, n_steps + 1):
         if n % every == 0 or n == n_steps:
-            # a ramp R is built for its sample alone and released at once
-            samples[(n - 1) // every] = (readout if n > m else
-                                         _readout(n, transfer.k_tensor, table)) @ f
+            if n > m:
+                samples[(n - 1) // every] = readout @ f
+            else:
+                # R_n f without R_n: step n on the tables of a path that ends at n, summed over r
+                ends = _tables(_step_factors(n, transfer.k_tensor, table, ends=True))
+                samples[(n - 1) // every] = window_step(f, *ends).reshape(-1, 4).sum(axis=0)
         f = _step(f, n, transfer, table)
         # settled? at each step to 2M, where the paper point settles, then at
         # n - M = 2^k and at block boundaries: a run that never settles checks
         # about M + log2(n) + n / every times
         late = n - m
-        if (modes is not None and 0 <= late and n < full * every
+        if (x is not None and first < full and 0 <= late and n < full * every
                 and (late <= m or late & (late - 1) == 0 or n % every == 0)):
-            x, p = modes
-            y, settled = _coordinates(x, p, f)
+            y, settled = _coordinates(x, f)
             if settled:
                 # the partial block up to the next sample, the full blocks, the last partial one
                 head, tail, i = -n % every, n_steps % every, -(-n // every)
-                maps = _block_map(x, p, transfer, readout, {every, head, tail} - {0})
+                maps = _block_map(x, transfer, readout, {every, head, tail} - {0})
                 if head:
                     h, sample = maps[head]
                     samples[i - 1], y = sample @ y, h @ y
-                h, sample = maps[every]
-                rows = _sweep(y, h.T, full - i)
-                samples[i:full] = rows[:-1] @ sample.T
+                samples[i:full], y = _sweep(y, *maps[every], full - i)
                 if tail:
-                    samples[full] = maps[tail][1] @ rows[-1]
+                    samples[full] = maps[tail][1] @ y
                 break
     if not np.isfinite(samples).all():
         finite = np.isfinite(samples).all(axis=1)

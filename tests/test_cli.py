@@ -115,8 +115,8 @@ class TestEvolveCommand:
         np.testing.assert_allclose(rows[:, 5], 0.5, atol=1e-12)
 
     def test_pure_dephasing_walks(self, tmp_path, capsys):
-        # with E_J ~ 0 the step is diagonal, and the adjoint iteration from
-        # identity columns collapses onto a singular W^H X
+        # with E_J ~ 0 the step is diagonal: rho00 stays exactly 1 through the
+        # ramp and the walk
         out_file = tmp_path / "t.csv"
         code, _, err = run_cli(capsys, "evolve", "--e-j-ueV", "1e-300", "--dk-max", "2",
                                "--output", str(out_file))

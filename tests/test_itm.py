@@ -190,9 +190,9 @@ class TestGuardsAndErrors:
 
     def test_all_ramp_run_stays_small(self, paper_bath, paper_qubit):
         # every step of an 8-step run at dk_max 8 is in the ramp, on the full
-        # 4^8-entry window (1 MiB) with (q/4, 4) step tables; each sampled step
-        # builds its own (4, q) readout (4 MiB) and releases it before the step,
-        # and the steady readout is never built
+        # 4^8-entry window (1 MiB) with (q/4, 4) step tables (1 MiB); a sampled
+        # step is one more step on its terminal tables, summed, so no (4, q)
+        # readout is built: the run peaks at 4.0 MiB
         table = eta_coefficients(paper_bath, DT, 8, 8)
         transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
         tracemalloc.start()
@@ -201,7 +201,7 @@ class TestGuardsAndErrors:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 4.5 * 2**20
 
     def test_explosion_guard_reports_step(self, paper_qubit):
         # an amplifying self term (negative real part) blows the window up: the

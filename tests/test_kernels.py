@@ -114,18 +114,6 @@ def test_window_step_matches_dense_step(steady, dk_max):
         assert np.abs(itm.window_step(block, *tables) - reference).max() <= bound
 
 
-@pytest.mark.parametrize("dk_max", [1, 2, 3, 4, 5, 6])
-def test_adjoint_window_step_is_the_adjoint(steady, dk_max):
-    # <e, A f> = <A^H e, f> for blocks of windows
-    transfer, _ = steady(dk_max)
-    rng = np.random.default_rng(dk_max)
-    e, f = (rng.normal(size=(4 ** dk_max, 2)) + 1j * rng.normal(size=(4 ** dk_max, 2))
-            for _ in range(2))
-    forward = e.conj().T @ itm.window_step(f, transfer.head, transfer.tail)
-    backward = itm._adjoint_window_step(e, transfer.head, transfer.tail).conj().T @ f
-    assert np.abs(forward - backward).max() <= 1e-13 * np.abs(forward).max()
-
-
 @pytest.mark.parametrize("temperature, n_g", [(30.0, 0.5), (100.0, 0.45)])
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4, 5, 6])
 def test_step_tables_match_dense_factors(dk_max, temperature, n_g):
@@ -218,15 +206,22 @@ def test_paper_walk_starts_when_the_window_settles(stepped, steady, dk_max):
     assert dk_max < len(stepped) <= 2 * dk_max
 
 
-@pytest.mark.parametrize("dk_max", [1, 2, 4])
-def test_paper_run_walk_matches_per_step(paper_bath, paper_qubit, dk_max):
+@pytest.mark.parametrize("dk_max, every, bound", [
+    pytest.param(1, 64, 1e-11, id="1"),
+    pytest.param(2, 64, 1e-11, id="2"),
+    pytest.param(4, 64, 1e-11, id="4"),
+    # 33,727 blocks: the walk's rounding grows with their number
+    pytest.param(2, 7, 3e-11, id="2-every7"),
+    pytest.param(4, 7, 3e-11, id="4-every7"),
+])
+def test_paper_run_walk_matches_per_step(paper_bath, paper_qubit, dk_max, every, bound):
     # the walk over the paper's full 236,090-step run
     table = eta_coefficients(paper_bath, DT, N_PAPER, dk_max)
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
     rho0v = initial_state("zero").reshape(4)
-    samples = itm.evolve_window(rho0v, transfer, table, N_PAPER, 64)
-    reference = per_step_evolve_window(rho0v, transfer, table, N_PAPER, 64)
-    assert np.abs(samples - reference).max() <= 1e-11
+    samples = itm.evolve_window(rho0v, transfer, table, N_PAPER, every)
+    reference = per_step_evolve_window(rho0v, transfer, table, N_PAPER, every)
+    assert np.abs(samples - reference).max() <= bound
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
@@ -257,28 +252,6 @@ def test_amplifying_run_trips_at_reference_step(stepped, paper_qubit, dk_max, ev
     assert stepped == []
 
 
-@pytest.mark.parametrize("n_steps, every, walks", [
-    pytest.param(300, 1000, False, id="no-full-block"),
-    # the first full block past the ramp starts at step 4 and ends at 8
-    pytest.param(7, 4, False, id="7-steps"),
-    pytest.param(8, 4, True, id="8-steps"),
-    pytest.param(N_STEPS, 64, True, id="walked"),
-])
-def test_adjoint_basis_only_for_runs_that_walk(monkeypatch, steady, n_steps, every, walks):
-    # a run that can walk no block needs X for the refusal, but not W or P
-    calls = []
-    adjoint_window_step = itm._adjoint_window_step
-
-    def spy_adjoint_window_step(e, head, tail):
-        calls.append(e.shape)
-        return adjoint_window_step(e, head, tail)
-
-    monkeypatch.setattr(itm, "_adjoint_window_step", spy_adjoint_window_step)
-    transfer, table = steady(4)
-    propagate(initial_state("zero"), transfer, table, n_steps, sample_every=every)
-    assert bool(calls) == walks
-
-
 def test_non_finite_steady_map_is_refused(paper_qubit):
     # a violently amplifying step, and one with an infinite entry, are
     # refused at step M + 1 = 2; neither warns
@@ -290,7 +263,7 @@ def test_non_finite_steady_map_is_refused(paper_qubit):
         warnings.simplefilter("error")
         for bad in (transfer, infinite):
             with pytest.raises(InstabilityError) as info:
-                itm._slow_modes(bad, True)
+                itm._slow_modes(bad)
             assert info.value.step == 2
 
 
@@ -313,28 +286,41 @@ def test_non_finite_sample_raises_at_its_step(monkeypatch, paper_qubit, dk_max):
 
 
 def test_slow_basis_at_memory_span_1_is_identity(steady):
-    # at q = 4 the slow subspace is the whole window: no QR, and X = P = I
+    # at q = 4 the slow subspace is the whole window: no QR, and X = I
     transfer, _ = steady(1)
-    x, p = itm._slow_modes(transfer, True)
-    np.testing.assert_array_equal(x, np.eye(4))
-    np.testing.assert_array_equal(p, np.eye(4))
+    np.testing.assert_array_equal(itm._slow_modes(transfer), np.eye(4))
 
 
 @pytest.mark.parametrize("dk_max", [2, 3, 4, 5])
 def test_slow_modes_span_the_steady_map(steady, dk_max):
-    # A X = X H to rounding, and X P projects along the fast modes: P X = I
-    # and P A = H P, so the walk drops no slow part of a fast component
+    # A X = X H to rounding, with X orthonormal and H = X^H A X, so the walk
+    # in X's own coordinates drops only X's fast part, at the rounding floor
     transfer, _ = steady(dk_max)
-    x, p = itm._slow_modes(transfer, True)
+    x = itm._slow_modes(transfer)
     ax = itm.window_step(x, transfer.head, transfer.tail)
-    assert np.abs(ax - x @ (p @ ax)).max() <= 1e-14
-    np.testing.assert_allclose(p @ x, np.eye(4), atol=1e-12)
-    windows = np.random.default_rng(dk_max).normal(size=(4 ** dk_max, 2)) + 0j
-    drift = p @ itm.window_step(windows, transfer.head, transfer.tail) - (p @ ax) @ (p @ windows)
-    assert np.abs(drift).max() <= 1e-12 * np.abs(windows).sum(axis=0).max()
-    radii = np.sort(np.abs(np.linalg.eigvals(p @ ax)))
+    h = x.conj().T @ ax
+    assert np.abs(ax - x @ h).max() <= 1e-14
+    np.testing.assert_allclose(x.conj().T @ x, np.eye(4), atol=1e-14)
+    radii = np.sort(np.abs(np.linalg.eigvals(h)))
     assert radii[-1] == pytest.approx(1.0, abs=1e-12)
     assert radii[0] > 0.9999
+
+
+@pytest.mark.parametrize("dk_max", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_slow_modes_take_a_qr_per_memory_span(monkeypatch, steady, dk_max):
+    # A's fast part dies out within about M steps, so at the paper point the
+    # iteration converges after a few chunks of M steps, each ended by one QR
+    qrs = []
+    qr = np.linalg.qr
+
+    def spy_qr(a):
+        qrs.append(a.shape)
+        return qr(a)
+
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    transfer, _ = steady(dk_max)
+    assert itm._slow_modes(transfer) is not None
+    assert len(qrs) <= (3 if dk_max > 1 else 0)
 
 
 @pytest.mark.parametrize("dk_max", [2, 3, 4])
@@ -352,11 +338,9 @@ def test_walk_waits_for_the_transient(monkeypatch, paper_qubit, dk_max):
 
 @pytest.mark.parametrize("alpha, dt, dk_max, temperature, walked", [
     pytest.param(0.2, 2.0, 4, 30.0, True, id="alpha0.2-dt2"),
-    # the coordinates P have a 2-norm of about 100
     pytest.param(10.0, 1.0, 3, 300.0, True, id="alpha10-dt1"),
-    # the adjoint basis has not converged and P has a 2-norm of about 1e20,
-    # so the window never settles and every step is taken one at a time
-    pytest.param(10.0, 5.0, 3, 300.0, False, id="alpha10-dt5"),
+    # the window settles on the slow modes a few steps past the ramp
+    pytest.param(10.0, 5.0, 3, 300.0, True, id="alpha10-dt5"),
 ])
 def test_strong_coupling_maps_are_never_refused(monkeypatch, stepped, paper_qubit, alpha, dt,
                                                 dk_max, temperature, walked):
@@ -377,14 +361,17 @@ def test_strong_coupling_maps_are_never_refused(monkeypatch, stepped, paper_qubi
 
 def test_unsettled_run_checks_the_window_sparsely(monkeypatch, paper_qubit):
     # a window that never settles is checked at each step from M to 2M, at
-    # n - M = 2^k and at block boundaries, not at every step of a long block
+    # n - M = 2^k and at block boundaries, not at every step of a long block;
+    # the spy reports every window unsettled, and lets the slow basis converge
     checked = []
     coordinates = itm._coordinates
 
-    def spy_coordinates(x, p, z):
+    def spy_coordinates(x, z):
+        y, settled = coordinates(x, z)
         if z.ndim == 1:
             checked.append(z.size)
-        return coordinates(x, p, z)
+            settled = False
+        return y, settled
 
     monkeypatch.setattr(itm, "_coordinates", spy_coordinates)
     bath = OhmicBath(alpha=10.0, omega_c=5.0, temperature=300.0)
@@ -397,8 +384,8 @@ def test_unsettled_run_checks_the_window_sparsely(monkeypatch, paper_qubit):
 
 @pytest.mark.parametrize("dk_max", [2, 3, 4, 6])
 def test_pure_dephasing_run_walks(stepped, paper_bath, dk_max):
-    # a diagonal U maps the identity columns that start the adjoint basis to
-    # zero, so W^H X is singular; W restarted from X walks from step M
+    # a diagonal U keeps the window on the slow modes, so the walk starts
+    # at step M, right after the ramp
     qubit = QubitParameters(e_j=1e-300, e_c=122.0, n_g=0.5)
     table = eta_coefficients(paper_bath, DT, 20000, dk_max)
     transfer = build_transfer_tensor(short_time_propagator(qubit, DT), table)
@@ -468,17 +455,17 @@ def test_block_maps_chain_half_blocks(steady, dk_max):
     # H_L and S_L chained from a push through ceil(L / 2) steps match the
     # maps read off a push through all L steps
     transfer, table = steady(dk_max)
-    x, p = itm._slow_modes(transfer, True)
+    x = itm._slow_modes(transfer)
     readout = itm._readout(dk_max + 1, transfer.k_tensor, table)
     lengths = {64, 63, 40, 33, 5, 1}
-    maps = itm._block_map(x, p, transfer, readout, lengths)
+    maps = itm._block_map(x, transfer, readout, lengths)
     assert maps.keys() == lengths
     power = x
     for length in range(1, 65):
         pushed = itm.window_step(power, transfer.head, transfer.tail)
         if length in lengths:
             h, sample = maps[length]
-            assert np.abs(h - p @ pushed).max() <= 1e-13
+            assert np.abs(h - x.conj().T @ pushed).max() <= 1e-13
             assert np.abs(sample - readout @ power).max() <= 1e-13
         power = pushed
 
@@ -486,18 +473,20 @@ def test_block_maps_chain_half_blocks(steady, dk_max):
 @pytest.mark.parametrize("top", ["0", "1", "2^d-1", "2^d", "2^d+1"])
 @pytest.mark.parametrize("dk_max", [1, 4])
 def test_sweep_matches_repeated_jumps(steady, dk_max, top):
-    # 2^d = 64 blocks: rows 0 .. 2^d - 1 take d products
+    # k = 63, 64 and 65 sit on either side of a doubling of both grid levels
     k = {"0": 0, "1": 1, "2^d-1": 63, "2^d": 64, "2^d+1": 65}[top]
     transfer, table = steady(dk_max)
     readout = itm._readout(dk_max + 1, transfer.k_tensor, table)
-    h, _ = itm._block_map(*itm._slow_modes(transfer, True), transfer, readout, {64})[64]
+    h, sample = itm._block_map(itm._slow_modes(transfer), transfer, readout, {64})[64]
     y = np.random.default_rng(k).normal(size=4) * 0.1 + 0j
-    rows = itm._sweep(y, h.T, k)
-    expected = [y]
+    samples, last = itm._sweep(y, h, sample, k)
+    starts = [y]
     for _ in range(k):
-        expected.append(expected[-1] @ h.T)
-    assert rows.shape == (k + 1, 4)
-    assert np.abs(rows - np.array(expected)).max() <= 1e-13
+        starts.append(h @ starts[-1])
+    assert samples.shape == (k, 4)
+    expected = np.array(starts[:k]).reshape(-1, 4) @ sample.T
+    np.testing.assert_allclose(samples, expected, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(last, starts[k], rtol=0, atol=1e-13)
 
 
 def test_steady_sweep_memory(steady):
@@ -530,7 +519,9 @@ def counted(monkeypatch):
 
 
 def test_paper_run_sweeps_in_log_products(counted, paper_bath, paper_qubit):
-    # every product on the walk takes a power of the block map
+    # every product on the walk takes a power of the block map: 3,687 blocks
+    # on a grid of w = 64 powers H^b and 58 block starts, each level built by
+    # doubling, 6 products and squarings for one and 6 and 5 for the other
     table = eta_coefficients(paper_bath, DT, N_PAPER, 1)
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
     traj = propagate(initial_state("zero"), transfer, table, N_PAPER, sample_every=64)
@@ -542,8 +533,9 @@ def test_paper_run_sweeps_in_log_products(counted, paper_bath, paper_qubit):
 
 def test_squared_powers_built_once(counted, steady):
     # the walk starts at step 8 at dk_max 4: one product for the partial
-    # block to step 64, then 77 full 64-step blocks, H_L^2 .. H_L^64 and one
-    # product per doubling
+    # block to step 64, then 77 full 64-step blocks on a grid of w = 8 powers
+    # H_L^b and 10 block starts: 3 products and squarings build the powers
+    # and H_L^8, 4 products and 3 squarings (H_L^16 .. H_L^64) the starts
     transfer, table = steady(4)
     propagate(initial_state("zero"), transfer, table, N_STEPS, sample_every=64)
     assert counted.squarings == 6

@@ -36,7 +36,7 @@ NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 CALLS = {
     **{f"compare-dk{m}": ["compare", "--dk-max", str(m), "--output", "report.csv"]
-       for m in (1, 2, 3, 4, 6)},
+       for m in (1, 2, 3, 4, 6, 8)},
     "compare-dk2-100mK": ["compare", "--dk-max", "2", "--temperature-mK", "100",
                           "--t-max-ps", "1e6", "--output", "report.csv"],
     "compare-plus-rho00": ["compare", "--initial-state", "plus", "--observable", "rho00",
@@ -59,14 +59,14 @@ CALLS = {
                     "--output", "trajectory.csv"],
     "evolve-dump-eta": ["evolve", "--dk-max", "4", "--t-max-ps", "1e5", "--sample-every", "7",
                         "--dump-eta", "eta.csv", "--output", "trajectory.csv"],
-    # the window never settles, so every step is taken one at a time
+    # strong coupling at 300 mK: the window settles a few steps past the ramp
     "evolve-stepped": ["evolve", "--alpha", "10", "--dt-ps", "5", "--dk-max", "3",
                        "--temperature-mK", "300", "--t-max-ps", "1e4", "--sample-every", "7",
                        "--output", "trajectory.csv"],
     # no full block: nothing is walked
     "evolve-no-walk": ["evolve", "--dk-max", "8", "--t-max-ps", "300",
                        "--sample-every", "1000", "--output", "trajectory.csv"],
-    # a diagonal one-step propagator: the adjoint slow basis restarts from X
+    # a diagonal one-step propagator: the walk starts right after the ramp
     "evolve-pure-dephasing": ["evolve", "--e-j-ueV", "1e-300", "--dk-max", "2",
                               "--output", "trajectory.csv"],
     "oracle": ["oracle", "--n-steps", "8"],
