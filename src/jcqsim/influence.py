@@ -141,24 +141,28 @@ def eta_coefficients(bath: OhmicBath, dt: float, n_steps: int, dk_max: int) -> E
                     eta_pair_end_interior=pair[1], eta_pair_end_end=pair[2])
 
 
-def self_factor_table(eta_self: complex) -> np.ndarray:
+def self_factor_table(eta_self) -> np.ndarray:
     """Self factor I0 of one time point over the 4 spin-pair indices p = 2 b+ + b-.
 
     I0 = exp(-g^2/hbar (s+ - s-)(eta s+ - conj(eta) s-)) with s = 1 - 2b.
+    An array of eta gives one table per entry, on a last axis of 4.
     """
+    eta = np.asarray(eta_self)[..., None]
     return np.exp(-_G2 / HBAR * (SPIN_PLUS - SPIN_MINUS)
-                  * (eta_self * SPIN_PLUS - np.conj(eta_self) * SPIN_MINUS))
+                  * (eta * SPIN_PLUS - np.conj(eta) * SPIN_MINUS))
 
 
-def pair_factor_table(eta_pair: complex) -> np.ndarray:
+def pair_factor_table(eta_pair) -> np.ndarray:
     """Cross factor I_dk as a (4, 4) array indexed [early pair, late pair].
 
     I_dk = exp(-g^2/hbar (l+ - l-)(eta e+ - conj(eta) e-)) for the early
-    spins (e+, e-) and the late spins (l+, l-).
+    spins (e+, e-) and the late spins (l+, l-). An array of eta gives one
+    table per entry, on two last axes of 4, from one exponential.
     """
-    early = eta_pair * SPIN_PLUS - np.conj(eta_pair) * SPIN_MINUS
+    eta = np.asarray(eta_pair)[..., None]
+    early = eta * SPIN_PLUS - np.conj(eta) * SPIN_MINUS
     late = SPIN_PLUS - SPIN_MINUS
-    return np.exp(-_G2 / HBAR * np.outer(early, late))
+    return np.exp(-_G2 / HBAR * (early[..., :, None] * late))
 
 
 def pair_class(earlier: int, later: int, n_final: int) -> str:

@@ -20,7 +20,8 @@ their factors are ones, so the first M steps, the ramp, are ordinary
 steps, and the window is zero wherever a phantom digit is not. Point 0
 takes endpoint-class coefficients; from step M + 1 on no factor touches
 it, so every later step has the same tables, the steady head and tail of
-``TransferTensor``.
+``TransferTensor``. Every step's factors are read off the pair and self
+factor tables that ``build_transfer_tensor`` evaluates once per run.
 
 A sample at step n is R_n f, read from the window before step n. R_n is
 step n's tables as ``_step_factors(n, ends=True)`` builds them for a path
@@ -58,7 +59,8 @@ S_L = S_b H_c: both hold up to X's fast part, |A X - X X^H A X|, which
 the iteration leaves at the rounding floor (below 1e-15 at the paper
 point). The same push gives H_j and S_j for the two partial blocks, from
 the walk's start to the next sample and the last one. ``_sweep`` reads
-every sample S_L H_L^i y off a two-level grid of powers of H_L. At M = 1
+every sample S_L H_L^i y off a two-level grid of powers of H_L, in place
+into the trajectory's rows; so does every other sample. At M = 1
 the window has q = 4 entries and lies in span X = I, so the walk starts
 right after the ramp. Every step is taken one at a time if the iteration
 does not converge, if the transient does not settle, or if the run has no
@@ -69,7 +71,7 @@ The readout R has 4^(M+1) entries, so the memory span is capped at
 ``SPAN_CAP``, the same bound as the path length of the path sum.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,10 +119,18 @@ def window_step(f, head, tail):
 
 @dataclass(frozen=True)
 class TransferTensor:
-    """Steady step tables, g[a q/4 + r, y] = head[a, y] tail[r, y], and the bare pair tensor K."""
+    """A run's factor tables, the bare pair tensor K and the steady step tables.
+
+    ``pair_tables[c, dk - 1]`` is the dk pair factor of class c = 0, 1, 2
+    ("ii", "ei", "ee"), and ``self_tables`` holds the interior and the
+    endpoint self factor: every step's factors are read off them. The
+    steady step is g[a q/4 + r, y] = head[a, y] tail[r, y].
+    """
 
     dk_max: int
     k_tensor: np.ndarray
+    pair_tables: np.ndarray
+    self_tables: np.ndarray
     head: np.ndarray
     tail: np.ndarray
 
@@ -171,21 +181,22 @@ def _pair_tensor(u: np.ndarray) -> np.ndarray:
     return np.einsum("ik,jl->klij", u, u.conj()).reshape(4, 4)
 
 
-def _step_factors(n: int, k_tensor: np.ndarray, table: EtaTable, ends: bool = False) -> list:
+def _step_factors(n: int, transfer: TransferTensor, ends: bool = False) -> list:
     """Step n's (4, 4) factors on the window points n - M .. n - 1, oldest first.
 
     Point n - dk takes the dk pair factor with the new point n, class "ei"
     if it is point 0, or ones if it is a phantom. The newest point also
     carries K and its self factor: the endpoint one at n = 1. A path that
     ``ends`` at n gives those pairs their terminal classes, "ee" and "ei",
-    and the new point its endpoint self factor.
+    and the new point its endpoint self factor. A pair's class index counts
+    its endpoints, point 0 and the end n; the tables are the transfer tensor's.
     """
-    classes = ("ee", "ei") if ends else ("ei", "ii")
-    factors = [pair_factor_table(table.eta_pair(dk, classes[n != dk])) if n >= dk
-               else np.ones((4, 4)) for dk in range(table.dk_max, 0, -1)]
-    kernel = k_tensor * self_factor_table(table.eta_self(ENDPOINT if n == 1 else INTERIOR))[:, None]
+    pairs, selfs = transfer.pair_tables, transfer.self_tables
+    factors = [pairs[(n == dk) + ends, dk - 1] if n >= dk else np.ones((4, 4))
+               for dk in range(transfer.dk_max, 0, -1)]
+    kernel = transfer.k_tensor * selfs[int(n == 1)][:, None]
     if ends:
-        kernel = kernel * self_factor_table(table.eta_self(ENDPOINT))
+        kernel = kernel * selfs[1]
     factors[-1] = kernel * factors[-1]
     return factors
 
@@ -202,9 +213,9 @@ def _tables(factors):
     return factors[0], tail
 
 
-def _readout(n: int, k_tensor: np.ndarray, table: EtaTable) -> np.ndarray:
+def _readout(n: int, transfer: TransferTensor) -> np.ndarray:
     """R_n, (4, q): a sample at step n is R_n f, from the window f before step n."""
-    head, tail = _tables(_step_factors(n, k_tensor, table, ends=True))
+    head, tail = _tables(_step_factors(n, transfer, ends=True))
     return (head[:, None, :] * tail).reshape(-1, 4).T
 
 
@@ -212,21 +223,31 @@ def _readout(n: int, k_tensor: np.ndarray, table: EtaTable) -> np.ndarray:
 def build_transfer_tensor(u: np.ndarray, table: EtaTable) -> TransferTensor:
     """Steady-state transfer tensor for memory span table.dk_max and one-step U.
 
-    Raises CapacityError above ``SPAN_CAP``, before the tables are allocated;
-    ``propagate`` refuses the map of overflowing factors, without a warning here.
+    Every pair factor table of the run, 3 M of them, comes from one
+    exponential, and the two self tables beside them. Raises CapacityError
+    above ``SPAN_CAP``, before the tables are allocated; ``propagate``
+    refuses the map of overflowing factors, without a warning here.
     """
     m = table.dk_max
     if m > SPAN_CAP:
         raise CapacityError(f"memory span capped at dk_max = {SPAN_CAP}, got {m}")
-    k_tensor = _pair_tensor(u)
-    head, tail = _tables(_step_factors(m + 1, k_tensor, table))
-    return TransferTensor(dk_max=m, k_tensor=k_tensor, head=head, tail=tail)
+    pairs = np.stack([table.eta_pair_interior, table.eta_pair_end_interior,
+                      table.eta_pair_end_end])
+    selfs = [table.eta_self(INTERIOR), table.eta_self(ENDPOINT)]
+    ramp = TransferTensor(dk_max=m, k_tensor=_pair_tensor(u),
+                          pair_tables=pair_factor_table(pairs),
+                          self_tables=self_factor_table(selfs), head=None, tail=None)
+    head, tail = _tables(_step_factors(m + 1, ramp))
+    return replace(ramp, head=head, tail=tail)
 
 
-def _coordinates(x, z):
+def _coordinates(x, xh, z):
     """Coordinates X^H z of z on span X, and whether z lies in span X to ``SLOW_TOL``."""
-    y = x.conj().T @ z
-    return y, np.linalg.norm(z - x @ y) <= SLOW_TOL * np.linalg.norm(z)
+    y = xh @ z
+    # in place: beside the caller's X^H, a second (q, 4) temporary would raise the deep-span peak
+    residual = x @ y
+    np.subtract(z, residual, out=residual)
+    return y, np.linalg.norm(residual) <= SLOW_TOL * np.linalg.norm(z)
 
 
 def _slow_modes(transfer):
@@ -236,6 +257,8 @@ def _slow_modes(transfer):
     M = dk_max steps of A between QRs: A's fast part acts like a nilpotent
     of index M, so a check made after fewer steps almost never passes. Each
     chunk pushes X through M steps and stops once A^M X lies in span X.
+    X^H is taken where it is used, not held over the chunk's pushes, which
+    at deep spans would add a (q, 4) array to the peak.
     At M = 1 the window is the whole slow subspace and X = I takes no QR.
     Raises InstabilityError at step M + 1, the first steady step, if
     X^H A^M X is not finite, or if the spectral radius of X^H A X, from
@@ -249,7 +272,7 @@ def _slow_modes(transfer):
             h = x.conj().T @ z
             for _ in range(m - 1):
                 z = window_step(z, *tables)
-            y, settled = _coordinates(x, z)
+            y, settled = _coordinates(x, x.conj().T, z)
             if not np.isfinite(y).all():
                 raise InstabilityError(f"steady map is not finite at step {m + 1}", step=m + 1)
             if settled:
@@ -262,7 +285,7 @@ def _slow_modes(transfer):
     return None
 
 
-def _block_map(x, transfer, readout, lengths):
+def _block_map(x, xh, transfer, readout, lengths):
     """{L: (H_L, S_L)} with H_L = X^H A^L X and S_L = R A^(L-1) X, for each L in ``lengths``.
 
     X is pushed through c = ceil(max(lengths) / 2) steps only, and the maps
@@ -273,7 +296,7 @@ def _block_map(x, transfer, readout, lengths):
     """
     half = -(-max(lengths) // 2)
     needed = {length if length <= half else length - half for length in lengths} | {half}
-    maps, power, xh = {}, x, x.conj().T
+    maps, power = {}, x
     for length in range(1, half + 1):
         pushed = window_step(power, transfer.head, transfer.tail)
         if length in needed:
@@ -284,16 +307,22 @@ def _block_map(x, transfer, readout, lengths):
             tuple(block @ h_half for block in maps[length - half]) for length in lengths}
 
 
-def _sweep(y, h, sample, k):
-    """(samples, H^k y): the rows S H^i y for i < k, from the block map H and readout S.
+def _grid_width(k):
+    """Width w of ``_sweep``'s grid for k samples: a power of 2 near sqrt(k + 1)."""
+    return 1 << ((k + 1).bit_length() // 2)
 
-    A two-level grid i = a w + b, with w a power of 2 near sqrt(k + 1).
-    The powers H^b, b < w, are built by doubling on a (w, 4, 4) stack,
-    which leaves H^w; the block starts (H^w)^a y by doubling rows, each
-    fill one product with the rows so far; then one (a, 4) x (4, 4 w)
-    product against the stacked S H^b gives every sample.
+
+def _sweep(rows, y, h, sample, k):
+    """H^k y, after writing the rows S H^i y, i < k, to ``rows``; H is the block map, S its readout.
+
+    A two-level grid i = a w + b, w = ``_grid_width(k)``. The powers H^b,
+    b < w, are built by doubling on a (w, 4, 4) stack, which leaves H^w;
+    the block starts (H^w)^a y by doubling rows, each fill one product with
+    the rows so far; then one (a, 4) x (4, 4 w) product against the stacked
+    S H^b writes every sample in place. Its a w rows run up to w rows past
+    k, so the C-contiguous ``rows`` holds at least k + w.
     """
-    width = 1 << ((k + 1).bit_length() // 2)
+    width = _grid_width(k)
     powers = np.empty((width, 4, 4), dtype=np.complex128)
     powers[0] = np.eye(4)
     power, filled = h, 1
@@ -310,28 +339,30 @@ def _sweep(y, h, sample, k):
         filled += n
         if filled < len(starts):
             power = power @ power
-    grid = starts @ (sample @ powers).transpose(2, 0, 1).reshape(4, -1)
-    return grid.reshape(-1, 4)[:k], powers[k % width] @ starts[k // width]
+    np.matmul(starts, (sample @ powers).transpose(2, 0, 1).reshape(4, -1),
+              out=rows[:len(starts) * width].reshape(len(starts), -1))
+    return powers[k % width] @ starts[k // width]
 
 
-def _step(f, n, transfer, table):
+def _step(f, n, transfer):
     """Step n on the window f: with the steady tables past the ramp, else with step n's own."""
     if n > transfer.dk_max:
         return window_step(f, transfer.head, transfer.tail)
-    return window_step(f, *_tables(_step_factors(n, transfer.k_tensor, table)))
+    return window_step(f, *_tables(_step_factors(n, transfer)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def evolve_window(rho0v, transfer, table, n_steps, every):
+def evolve_window(rho0v, transfer, n_steps, every):
     """Iterate the window from the initial 4-vector ``rho0v`` at step 0.
 
-    Returns the corrected 4-vector readouts at the steps every, 2 every, ...
-    and n_steps, one row each. The window starts at full width with rho0v
-    on its newest point and phantoms before it, so ramp and steady steps
-    alike go through ``_step``, each read out at a sample as R_n f before
-    the step, until the window settles on the slow modes: the run checks at
-    each step from M to 2M, at n = M + 2^k and at block boundaries. Every
-    later step, partial blocks included, is walked.
+    Returns the trajectory's rows: rho0v in row 0, then the corrected
+    4-vector readouts at the steps every, 2 every, ... and n_steps, one row
+    each, all written in place into one buffer. The window starts at full
+    width with rho0v on its newest point and phantoms before it, so ramp
+    and steady steps alike go through ``_step``, each read out at a sample
+    as R_n f before the step, until the window settles on the slow modes:
+    the run checks at each step from M to 2M, at n = M + 2^k and at block
+    boundaries. Every later step, partial blocks included, is walked.
     Raises InstabilityError from ``_slow_modes``, or at a non-finite sample.
     """
     m = transfer.dk_max
@@ -340,45 +371,50 @@ def evolve_window(rho0v, transfer, table, n_steps, every):
     first = -(-m // every)
     readout = x = None
     if n_steps > m:
-        readout = _readout(m + 1, transfer.k_tensor, table)
+        readout = _readout(m + 1, transfer)
         x = _slow_modes(transfer)
+    # X^H once for the run's settle checks and block maps
+    xh = None if x is None else x.conj().T
 
+    # the slack rows past the last one take the overhang of _sweep's grid
+    rows = np.empty((n_blocks + 1 + _grid_width(n_blocks), 4), dtype=np.complex128)
+    rows[0] = rho0v
     # the M - 1 phantom points before point 0 hold index 0 only
     f = np.zeros(4 ** m, dtype=np.complex128)
     f[:4] = rho0v
-    samples = np.empty((n_blocks, 4), dtype=np.complex128)
     for n in range(1, n_steps + 1):
         if n % every == 0 or n == n_steps:
             if n > m:
-                samples[(n - 1) // every] = readout @ f
+                rows[-(-n // every)] = readout @ f
             else:
                 # R_n f without R_n: step n on the tables of a path that ends at n, summed over r
-                ends = _tables(_step_factors(n, transfer.k_tensor, table, ends=True))
-                samples[(n - 1) // every] = window_step(f, *ends).reshape(-1, 4).sum(axis=0)
-        f = _step(f, n, transfer, table)
+                ends = _tables(_step_factors(n, transfer, ends=True))
+                rows[-(-n // every)] = window_step(f, *ends).reshape(-1, 4).sum(axis=0)
+        f = _step(f, n, transfer)
         # settled? at each step to 2M, where the paper point settles, then at
         # n - M = 2^k and at block boundaries: a run that never settles checks
         # about M + log2(n) + n / every times
         late = n - m
         if (x is not None and first < full and 0 <= late and n < full * every
                 and (late <= m or late & (late - 1) == 0 or n % every == 0)):
-            y, settled = _coordinates(x, f)
+            y, settled = _coordinates(x, xh, f)
             if settled:
                 # the partial block up to the next sample, the full blocks, the last partial one
                 head, tail, i = -n % every, n_steps % every, -(-n // every)
-                maps = _block_map(x, transfer, readout, {every, head, tail} - {0})
+                maps = _block_map(x, xh, transfer, readout, {every, head, tail} - {0})
                 if head:
                     h, sample = maps[head]
-                    samples[i - 1], y = sample @ y, h @ y
-                samples[i:full], y = _sweep(y, *maps[every], full - i)
+                    rows[i], y = sample @ y, h @ y
+                y = _sweep(rows[i + 1:], y, *maps[every], full - i)
                 if tail:
-                    samples[full] = maps[tail][1] @ y
+                    rows[full + 1] = maps[tail][1] @ y
                 break
-    if not np.isfinite(samples).all():
-        finite = np.isfinite(samples).all(axis=1)
-        step = min(int(finite.argmin() + 1) * every, n_steps)
+    rows = rows[:n_blocks + 1]
+    if not np.isfinite(rows).all():
+        finite = np.isfinite(rows).all(axis=1)
+        step = min(int(finite.argmin()) * every, n_steps)
         raise InstabilityError(f"non-finite density matrix at step {step}", step=step)
-    return samples
+    return rows
 
 
 def check_row_cap(n_steps: int, sample_every: int) -> None:
@@ -407,10 +443,9 @@ def propagate(rho0: np.ndarray, transfer: TransferTensor, table: EtaTable,
     check_row_cap(n_steps, sample_every)
     rho0 = validate_density_matrix(rho0)
 
-    samples = evolve_window(rho0.reshape(4), transfer, table, n_steps, sample_every)
+    rows = evolve_window(rho0.reshape(4), transfer, n_steps, sample_every)
     steps = np.append(np.arange(0, n_steps, sample_every), n_steps)
-    return Trajectory(times=steps * table.dt,
-                      rhos=np.concatenate([rho0.reshape(1, 4), samples]).reshape(-1, 2, 2))
+    return Trajectory(times=steps * table.dt, rhos=rows.reshape(-1, 2, 2))
 
 
 def brute_force_path_sum(rho0: np.ndarray, params: QubitParameters, table: EtaTable,

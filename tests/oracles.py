@@ -207,20 +207,22 @@ def readout_factor(n: int, table) -> np.ndarray:
 
 
 def per_step_evolve_window(rho0v, transfer, table, n_steps, every):
-    """Window iteration one step at a time from step 0, as a drop-in for evolve_window.
+    """Window iteration one step at a time from step 0: evolve_window's rows, from ``table``.
 
     The window grows by one point a step; once it holds M + 1 points each
     step first folds out the oldest. Each step multiplies in the dense
     ``step_factor``, the same at every step past M, and reads out with
-    ``readout_factor`` at the sample steps every, 2 every, ... and n_steps.
-    Only the bare pair tensor K is taken from ``transfer``.
+    ``readout_factor`` at the sample steps every, 2 every, ... and n_steps,
+    rows 1, 2, ...; row 0 is rho0v. Only the bare pair tensor K is taken
+    from ``transfer``.
     """
     m = transfer.dk_max
     steady_step = step_factor(m, transfer.k_tensor, table)
-    sample_steps = [*range(every, n_steps, every), n_steps]
+    sample_steps = [0, *range(every, n_steps, every), n_steps]
     state = np.array(rho0v, dtype=complex)
     samples = np.zeros((len(sample_steps), 4), dtype=complex)
-    si = 0
+    samples[0] = state
+    si = 1
     for n in range(1, sample_steps[-1] + 1):
         if n > m:
             state = state.reshape(4, -1).sum(axis=0)

@@ -13,7 +13,8 @@ from jcqsim import itm
 from jcqsim.analysis import fit_decay, step_count
 from jcqsim import (InstabilityError, OhmicBath, QubitParameters, build_transfer_tensor,
                     eta_coefficients, initial_state, propagate, short_time_propagator)
-from jcqsim.influence import COUPLING_WEIGHT, EtaTable
+from jcqsim.influence import (COUPLING_WEIGHT, ENDPOINT, INTERIOR, EtaTable, pair_factor_table,
+                              self_factor_table)
 from jcqsim.units import HBAR
 from oracles import (per_step_evolve_window, pure_dephasing_coherence, readout_factor,
                      step_factor)
@@ -70,18 +71,21 @@ def stepped(monkeypatch):
     steps = []
     step = itm._step
 
-    def spy_step(f, n, transfer, table):
+    def spy_step(f, n, transfer):
         steps.append(n)
-        return step(f, n, transfer, table)
+        return step(f, n, transfer)
 
     monkeypatch.setattr(itm, "_step", spy_step)
     return steps
 
 
-def per_step_propagate(monkeypatch, *args, **kwargs):
+def per_step_propagate(monkeypatch, rho0, transfer, table, n_steps, sample_every):
+    def reference(rho0v, transfer, n_steps, every):
+        return per_step_evolve_window(rho0v, transfer, table, n_steps, every)
+
     with monkeypatch.context() as patch:
-        patch.setattr(itm, "evolve_window", per_step_evolve_window)
-        return propagate(*args, **kwargs)
+        patch.setattr(itm, "evolve_window", reference)
+        return propagate(rho0, transfer, table, n_steps, sample_every=sample_every)
 
 
 def amplifying_table(dk_max, eta_self_interior):
@@ -125,16 +129,35 @@ def test_step_tables_match_dense_factors(dk_max, temperature, n_g):
     table = eta_coefficients(bath, DT, N_STEPS, dk_max)
     transfer = build_transfer_tensor(short_time_propagator(qubit, DT), table)
     for n in range(1, dk_max + 2):
-        head, tail = itm._tables(itm._step_factors(n, transfer.k_tensor, table))
+        head, tail = itm._tables(itm._step_factors(n, transfer))
         real = 4 ** min(n, dk_max)
         step = (head[:, None, :] * tail).reshape(-1, 4)[:real]
         reference = step_factor(n - 1, transfer.k_tensor, table)
         assert np.abs(step - reference).max() <= 1e-15 * np.abs(reference).max()
-        readout = itm._readout(n, transfer.k_tensor, table).T[:real]
+        readout = itm._readout(n, transfer).T[:real]
         reference = reference * readout_factor(n, table)
         assert np.abs(readout - reference).max() <= 1e-15 * np.abs(reference).max()
     np.testing.assert_array_equal(head, transfer.head)
     np.testing.assert_array_equal(tail, transfer.tail)
+
+
+@pytest.mark.parametrize("n_g", [0.5, 0.45])
+@pytest.mark.parametrize("dk_max", [1, 2, 3, 4, 5])
+def test_factor_tables_built_once_are_the_scalar_tables(dk_max, n_g):
+    # the run's 3 M pair tables come from one exponential: bit for bit the
+    # table of each coefficient on its own
+    qubit = QubitParameters(e_j=51.8, e_c=122.0, n_g=n_g)
+    table = eta_coefficients(OhmicBath(alpha=5e-6, omega_c=5.0, temperature=30.0),
+                             DT, N_STEPS, dk_max)
+    transfer = build_transfer_tensor(short_time_propagator(qubit, DT), table)
+    assert transfer.pair_tables.shape == (3, dk_max, 4, 4)
+    for c, kind in enumerate(("ii", "ei", "ee")):
+        for dk in range(1, dk_max + 1):
+            np.testing.assert_array_equal(transfer.pair_tables[c, dk - 1],
+                                          pair_factor_table(table.eta_pair(dk, kind)))
+    for j, kind in enumerate((INTERIOR, ENDPOINT)):
+        np.testing.assert_array_equal(transfer.self_tables[j],
+                                      self_factor_table(table.eta_self(kind)))
 
 
 @pytest.mark.parametrize("dk_max", [2, 3, 4, 6])
@@ -144,9 +167,9 @@ def test_ramp_windows_vanish_off_the_phantom_index(monkeypatch, steady, dk_max):
     windows = {}
     step = itm._step
 
-    def spy_step(f, n, transfer, table):
+    def spy_step(f, n, transfer):
         windows[n] = f.copy()
-        return step(f, n, transfer, table)
+        return step(f, n, transfer)
 
     monkeypatch.setattr(itm, "_step", spy_step)
     transfer, table = steady(dk_max)
@@ -219,9 +242,14 @@ def test_paper_run_walk_matches_per_step(paper_bath, paper_qubit, dk_max, every,
     table = eta_coefficients(paper_bath, DT, N_PAPER, dk_max)
     transfer = build_transfer_tensor(short_time_propagator(paper_qubit, DT), table)
     rho0v = initial_state("zero").reshape(4)
-    samples = itm.evolve_window(rho0v, transfer, table, N_PAPER, every)
+    samples = itm.evolve_window(rho0v, transfer, N_PAPER, every)
     reference = per_step_evolve_window(rho0v, transfer, table, N_PAPER, every)
     assert np.abs(samples - reference).max() <= bound
+    if every == 64 and dk_max > 1:
+        # one sample a step walks 64 times the blocks: checked at the reference's steps
+        steps = np.append(np.arange(0, N_PAPER, every), N_PAPER)
+        samples = itm.evolve_window(rho0v, transfer, N_PAPER, 1)[steps]
+        assert np.abs(samples - reference).max() <= 1e-10
 
 
 @pytest.mark.parametrize("dk_max", [1, 2, 3, 4])
@@ -278,11 +306,11 @@ def test_non_finite_sample_raises_at_its_step(monkeypatch, paper_qubit, dk_max):
     with np.errstate(all="ignore"):
         reference = per_step_evolve_window(rho0v, transfer, table, 1000, 7)
     first = int(np.isfinite(reference).all(axis=1).argmin())
-    assert first > 0
+    assert first > 1
     with warnings.catch_warnings(), pytest.raises(InstabilityError) as info:
         warnings.simplefilter("error")
-        itm.evolve_window(rho0v, transfer, table, 1000, 7)
-    assert info.value.step == 7 * (first + 1)
+        itm.evolve_window(rho0v, transfer, 1000, 7)
+    assert info.value.step == 7 * first
 
 
 def test_slow_basis_at_memory_span_1_is_identity(steady):
@@ -366,8 +394,8 @@ def test_unsettled_run_checks_the_window_sparsely(monkeypatch, paper_qubit):
     checked = []
     coordinates = itm._coordinates
 
-    def spy_coordinates(x, z):
-        y, settled = coordinates(x, z)
+    def spy_coordinates(x, xh, z):
+        y, settled = coordinates(x, xh, z)
         if z.ndim == 1:
             checked.append(z.size)
             settled = False
@@ -390,7 +418,7 @@ def test_pure_dephasing_run_walks(stepped, paper_bath, dk_max):
     table = eta_coefficients(paper_bath, DT, 20000, dk_max)
     transfer = build_transfer_tensor(short_time_propagator(qubit, DT), table)
     rho0v = initial_state("plus").reshape(4)
-    samples = itm.evolve_window(rho0v, transfer, table, 20000, 7)
+    samples = itm.evolve_window(rho0v, transfer, 20000, 7)
     assert stepped == list(range(1, dk_max + 1))
     reference = per_step_evolve_window(rho0v, transfer, table, 20000, 7)
     assert np.abs(samples - reference).max() <= 1e-11
@@ -454,11 +482,11 @@ class CountedMatrix(np.ndarray):
 def test_block_maps_chain_half_blocks(steady, dk_max):
     # H_L and S_L chained from a push through ceil(L / 2) steps match the
     # maps read off a push through all L steps
-    transfer, table = steady(dk_max)
+    transfer, _ = steady(dk_max)
     x = itm._slow_modes(transfer)
-    readout = itm._readout(dk_max + 1, transfer.k_tensor, table)
+    readout = itm._readout(dk_max + 1, transfer)
     lengths = {64, 63, 40, 33, 5, 1}
-    maps = itm._block_map(x, transfer, readout, lengths)
+    maps = itm._block_map(x, x.conj().T, transfer, readout, lengths)
     assert maps.keys() == lengths
     power = x
     for length in range(1, 65):
@@ -475,11 +503,15 @@ def test_block_maps_chain_half_blocks(steady, dk_max):
 def test_sweep_matches_repeated_jumps(steady, dk_max, top):
     # k = 63, 64 and 65 sit on either side of a doubling of both grid levels
     k = {"0": 0, "1": 1, "2^d-1": 63, "2^d": 64, "2^d+1": 65}[top]
-    transfer, table = steady(dk_max)
-    readout = itm._readout(dk_max + 1, transfer.k_tensor, table)
-    h, sample = itm._block_map(itm._slow_modes(transfer), transfer, readout, {64})[64]
+    transfer, _ = steady(dk_max)
+    readout = itm._readout(dk_max + 1, transfer)
+    x = itm._slow_modes(transfer)
+    h, sample = itm._block_map(x, x.conj().T, transfer, readout, {64})[64]
     y = np.random.default_rng(k).normal(size=4) * 0.1 + 0j
-    samples, last = itm._sweep(y, h, sample, k)
+    # the grid's overhang writes past row k
+    rows = np.full((k + itm._grid_width(k), 4), np.nan, dtype=complex)
+    last = itm._sweep(rows, y, h, sample, k)
+    samples = rows[:k]
     starts = [y]
     for _ in range(k):
         starts.append(h @ starts[-1])
@@ -502,6 +534,21 @@ def test_steady_sweep_memory(steady):
     finally:
         tracemalloc.stop()
     assert peak < 0.175 * 2**20
+
+
+def test_trajectory_is_written_in_place(steady):
+    # every sample goes straight into the rows that become Trajectory.rhos:
+    # no second trajectory-sized array, samples or sweep grid, is held
+    transfer, table = steady(1)
+    rho0 = initial_state("zero")
+    propagate(rho0, transfer, table, 2000, sample_every=1)
+    tracemalloc.start()
+    try:
+        traj = propagate(rho0, transfer, table, 20000, sample_every=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * traj.rhos.nbytes
 
 
 @pytest.fixture
